@@ -1,7 +1,8 @@
 // Command benchjson measures the hot mining entry points — Mine,
-// MineParallel and CHARM — over the bench datasets with testing.Benchmark
-// and writes the results as a JSON array (ns/op, allocs/op, B/op), along
-// with the two ways a service can obtain a prepared snapshot: Prepare
+// MineParallel at 1 and 2 workers, and CHARM — over the bench datasets
+// with testing.Benchmark and writes the results as a JSON array (ns/op,
+// allocs/op, B/op, and an env block — nproc, GOMAXPROCS, Go version — on
+// every row), along with the two ways a service can obtain a prepared snapshot: Prepare
 // (compile from the in-memory dataset) versus SnapshotLoad (read + decode
 // the durable encoding, the farmerd -store restart path). CI runs it via
 // `make bench-json` and archives BENCH_core.json so allocation regressions
@@ -62,6 +63,24 @@ type Row struct {
 	NsPerOp     float64 `json:"ns_per_op"`
 	AllocsPerOp int64   `json:"allocs_per_op"`
 	BytesPerOp  int64   `json:"bytes_per_op"`
+	// Workers is the explicit worker count of a parallel-scheduler row;
+	// zero means the row measures a sequential entry point.
+	Workers int `json:"workers,omitempty"`
+	// Env is the machine the row was measured on.
+	Env *Env `json:"env,omitempty"`
+}
+
+// Env is the environment block every measured row carries, so a timing
+// can be read against the machine that produced it.
+type Env struct {
+	NProc      int    `json:"nproc"`
+	GOMAXPROCS int    `json:"gomaxprocs"`
+	GoVersion  string `json:"go_version"`
+}
+
+// currentEnv describes the running process's machine.
+func currentEnv() *Env {
+	return &Env{NProc: runtime.NumCPU(), GOMAXPROCS: runtime.GOMAXPROCS(0), GoVersion: runtime.Version()}
 }
 
 // writeRestartFixtures writes d to temp files in both on-disk forms a
@@ -139,10 +158,11 @@ func run(datasets []string) ([]Row, error) {
 		defer os.Remove(snapFile)
 
 		benches := []struct {
-			name string
-			fn   func() error
+			name    string
+			workers int
+			fn      func() error
 		}{
-			{"Prepare", func() error {
+			{"Prepare", 0, func() error {
 				buf, err := os.ReadFile(txtFile)
 				if err != nil {
 					return err
@@ -154,7 +174,7 @@ func run(datasets []string) ([]Row, error) {
 				_, err = farmer.Prepare(d)
 				return err
 			}},
-			{"SnapshotLoad", func() error {
+			{"SnapshotLoad", 0, func() error {
 				// Exactly what store.Load does on an LRU miss.
 				buf, err := os.ReadFile(snapFile)
 				if err != nil {
@@ -163,18 +183,17 @@ func run(datasets []string) ([]Row, error) {
 				_, err = store.Decode(buf)
 				return err
 			}},
-			{"Mine", func() error {
+			{"Mine", 0, func() error {
 				_, err := farmer.RunFARMER(context.Background(), d, 0, farmer.MineOptions{MinSup: minsup})
 				return err
 			}},
-			{"MineParallel", func() error {
-				// Explicit worker count: the bench datasets are small enough
-				// that Workers:-1 would take the sequential fallback, and this
-				// row exists to measure the parallel scheduler.
-				_, err := farmer.RunFARMER(context.Background(), d, 0, farmer.MineOptions{MinSup: minsup, Workers: runtime.GOMAXPROCS(0)})
-				return err
-			}},
-			{"CHARM", func() error {
+			// Explicit worker counts, independent of the recording machine:
+			// the bench datasets are small enough that Workers:-1 would take
+			// the sequential fallback, and these rows exist to measure the
+			// parallel scheduler — W1 against Mine, W2 for the scaling.
+			{"MineParallelW1", 1, mineParallel(d, minsup, 1)},
+			{"MineParallelW2", 2, mineParallel(d, minsup, 2)},
+			{"CHARM", 0, func() error {
 				_, err := farmer.RunCHARM(context.Background(), d, farmer.CharmOptions{MinSup: minsup})
 				return err
 			}},
@@ -202,13 +221,23 @@ func run(datasets []string) ([]Row, error) {
 				NsPerOp:     float64(res.T.Nanoseconds()) / float64(res.N),
 				AllocsPerOp: res.AllocsPerOp(),
 				BytesPerOp:  res.AllocedBytesPerOp(),
+				Workers:     bench.workers,
 			})
-			fmt.Fprintf(os.Stderr, "%-12s %-4s minsup=%-3d %12.0f ns/op %8d allocs/op %10d B/op\n",
+			fmt.Fprintf(os.Stderr, "%-14s %-4s minsup=%-3d %12.0f ns/op %8d allocs/op %10d B/op\n",
 				bench.name, name, minsup,
 				rows[len(rows)-1].NsPerOp, rows[len(rows)-1].AllocsPerOp, rows[len(rows)-1].BytesPerOp)
 		}
 	}
 	return append(rows, runBitset()...), nil
+}
+
+// mineParallel returns a benchmark body running FARMER on the parallel
+// scheduler at an explicit worker count.
+func mineParallel(d *farmer.Dataset, minsup, workers int) func() error {
+	return func() error {
+		_, err := farmer.RunFARMER(context.Background(), d, 0, farmer.MineOptions{MinSup: minsup, Workers: workers})
+		return err
+	}
 }
 
 // bitsetSink keeps the compiler from eliminating the pure bitset kernels
@@ -834,6 +863,10 @@ func main() {
 			os.Exit(1)
 		}
 		rows = append(rows, crows...)
+	}
+	env := currentEnv()
+	for i := range rows {
+		rows[i].Env = env
 	}
 	buf, err := json.MarshalIndent(rows, "", "  ")
 	if err != nil {

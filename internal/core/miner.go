@@ -122,18 +122,13 @@ type miner struct {
 	// back scan; each pass bumps the epoch instead of clearing.
 	sc *engine.Scratch
 
-	// skipChildren turns a mineNode call into emission-only (no step 6),
-	// used by MineParallel's singleton tasks.
-	skipChildren bool
-
 	// recordRejected makes maybeEmit retain the row set of every group the
-	// local interestingness filter drops. MineParallel needs the identities,
-	// not just a count: a pair task can rediscover a group that another task
-	// already found (the sequential traversal absorbs the second node via
-	// pruning 1), so rejection events over-count — only the set of distinct
-	// rejected row sets is scheduling-independent. rejectedSeen dedups the
-	// events worker-locally, so each distinct row set is Cloned once per
-	// worker instead of once per rediscovery.
+	// local interestingness filter drops. MineParallel's worker filters are
+	// local, so a group's rejection happens either in a worker or in the
+	// global fixpoint, and the distinct rejected row sets are what both
+	// count (and what a Partial ships). rejectedSeen dedups the events
+	// worker-locally, so a row set rediscovered under the pruning-2
+	// ablation is Cloned once per worker.
 	recordRejected bool
 	rejectedSeen   *bitset.Dedup
 	rejectedRows   []*bitset.Set
@@ -220,27 +215,50 @@ func (m *miner) run() error {
 		return nil
 	}
 	for ri := 0; ri < m.n; ri++ {
-		mark := m.sc.A.Mark()
-		tuples := m.rootTuples(ri)
-		supp, supn := 0, 0
-		if ri < m.numPos {
-			supp = 1
-		} else {
-			supn = 1
-		}
-		epCount := m.numPos - ri - 1 // positive candidates after ri
-		if epCount < 0 {
-			epCount = 0
-		}
-		m.sc.InX.Set(ri)
-		err := m.mineNode(tuples, supp, supn, epCount, ri)
-		m.sc.InX.Clear(ri)
-		m.sc.A.Release(mark)
-		if err != nil {
+		if err := m.mineSpan(ri, ri, m.n); err != nil {
 			return err
 		}
 	}
 	return nil
+}
+
+// mineSpan mines the depth-2 subtasks (r1, r2) for r2 ∈ [lo, hi) of root
+// node {r1}: it opens the root exactly as the sequential traversal does
+// (back scan, bounds, Y absorption, cleaned table), then expands only the
+// children r2 ∈ E'(r1) ∩ [lo, hi), each built from the root's cleaned
+// table. The span that owns the singleton subtask (lo == r1) is the one
+// that counts the root's own events and runs its step 7; any other span
+// replays the root silently. The spans of one root therefore partition
+// exactly the subtree Mine expands below {r1}, and mineSpan(r1, r1, n) is
+// that whole subtree.
+func (m *miner) mineSpan(r1, lo, hi int) error {
+	mark := m.sc.A.Mark()
+	defer m.sc.A.Release(mark)
+	tuples := m.rootTuples(r1)
+	supp, supn := 0, 0
+	if r1 < m.numPos {
+		supp = 1
+	} else {
+		supn = 1
+	}
+	epCount := m.numPos - r1 - 1 // positive candidates after r1
+	if epCount < 0 {
+		epCount = 0
+	}
+	m.sc.InX.Set(r1)
+	defer m.sc.InX.Clear(r1)
+
+	owner := lo == r1
+	saved := m.ex.Stats.Counters
+	nd, ok, err := m.open(tuples, supp, supn, epCount, r1)
+	if !owner {
+		m.ex.Stats.Counters = saved
+		nd.emitOK = false
+	}
+	if !ok {
+		return err
+	}
+	return m.close(&nd, m.children(&nd, lo, hi))
 }
 
 // mineNode is MineIRGs of Figure 5 for the node whose row combination is
@@ -251,11 +269,36 @@ func (m *miner) run() error {
 // row id. A non-nil error aborts the whole traversal (cancellation or a
 // failed emission callback).
 func (m *miner) mineNode(tuples []tuple, supp, supn, epCount int, rmax int) error {
-	if err := m.ex.EnterNode(); err != nil {
+	nd, ok, err := m.open(tuples, supp, supn, epCount, rmax)
+	if !ok {
 		return err
 	}
+	return m.close(&nd, m.children(&nd, 0, m.n))
+}
+
+// node is an opened enumeration node between its open and close: the
+// X-conditional table, its Y-cleaned candidate lists, the candidate rows
+// E' and absorbed rows Y, and the identified-row counts after absorption.
+// Its buffers live on the arena above mark.
+type node struct {
+	tuples     []tuple
+	cleaned    [][]int32
+	eRows      []int32
+	yRows      []int32
+	supp, supn int
+	emitOK     bool
+	mark       engine.ArenaMark
+}
+
+// open runs steps 1–5 of Figure 5 on a node. ok=false means the node was
+// pruned (or is empty, or err is non-nil) and needs no close; otherwise Y
+// has been absorbed into m.sc.InX and the caller must close the node.
+func (m *miner) open(tuples []tuple, supp, supn, epCount int, rmax int) (nd node, ok bool, err error) {
+	if err := m.ex.EnterNode(); err != nil {
+		return nd, false, err
+	}
 	if len(tuples) == 0 {
-		return nil // I(X) = ∅: no rule here and no deeper candidates
+		return nd, false, nil // I(X) = ∅: no rule here and no deeper candidates
 	}
 
 	// Step 1 — pruning strategy 2 (back scan, Lemma 3.6).
@@ -263,7 +306,7 @@ func (m *miner) mineNode(tuples []tuple, supp, supn, epCount int, rmax int) erro
 	if m.backScanHit(tuples, rmax) {
 		if !m.opt.DisablePruning2 {
 			m.ex.Stats.PrunedBackScan++
-			return nil
+			return nd, false, nil
 		}
 		// Ablation mode: keep traversing, but this node's group was (or
 		// will be) found at its compressed twin; emitting here would
@@ -276,19 +319,18 @@ func (m *miner) mineNode(tuples []tuple, supp, supn, epCount int, rmax int) erro
 		us2 := supp + epCount
 		if us2 < m.opt.MinSup {
 			m.ex.Stats.PrunedLooseBound++
-			return nil
+			return nd, false, nil
 		}
 		if m.opt.needsConfBound() {
 			if uc2 := float64(us2) / float64(us2+supn); m.confBoundFails(uc2) {
 				m.ex.Stats.PrunedLooseBound++
-				return nil
+				return nd, false, nil
 			}
 		}
 	}
 
-	// Everything from here on allocates on the arena and pops on unwind.
+	// Everything from here on allocates on the arena and pops at close.
 	mark := m.sc.A.Mark()
-	defer m.sc.A.Release(mark)
 
 	// Step 3 — scan the conditional table: per-candidate occurrence counts,
 	// the U set (rows in ≥1 tuple), the Y set (rows in every tuple), and
@@ -359,36 +401,9 @@ func (m *miner) mineNode(tuples []tuple, supp, supn, epCount int, rmax int) erro
 	supn += yNeg
 
 	// Step 4 — pruning strategy 3, tight bounds (after scanning).
-	if !m.opt.DisablePruning3 {
-		us1 := suppIn + maxPosInTuple
-		if us1 < m.opt.MinSup {
-			m.ex.Stats.PrunedTightBound++
-			return nil
-		}
-		if m.opt.needsConfBound() {
-			if uc1 := float64(us1) / float64(us1+supn); m.confBoundFails(uc1) {
-				m.ex.Stats.PrunedTightBound++
-				return nil
-			}
-		}
-		if m.opt.MinChi > 0 {
-			if stats.Chi2UpperBound(supp+supn, supp, m.n, m.numPos) < m.opt.MinChi {
-				m.ex.Stats.PrunedChiBound++
-				return nil
-			}
-		}
-		if m.opt.MinEntropyGain > 0 {
-			if stats.EntropyGainUpperBound(supp+supn, supp, m.n, m.numPos) < m.opt.MinEntropyGain {
-				m.ex.Stats.PrunedGainBound++
-				return nil
-			}
-		}
-		if m.opt.MinGiniGain > 0 {
-			if stats.GiniGainUpperBound(supp+supn, supp, m.n, m.numPos) < m.opt.MinGiniGain {
-				m.ex.Stats.PrunedGainBound++
-				return nil
-			}
-		}
+	if !m.opt.DisablePruning3 && m.tightBoundPrunes(suppIn+maxPosInTuple, supp, supn) {
+		m.sc.A.Release(mark)
+		return nd, false, nil
 	}
 
 	// Step 5 — pruning strategy 1: absorb Y into the node's row set and
@@ -425,73 +440,128 @@ func (m *miner) mineNode(tuples []tuple, supp, supn, epCount int, rmax int) erro
 			cleaned[i] = backing[start:w:w]
 		}
 	}
+	return node{
+		tuples:  tuples,
+		cleaned: cleaned,
+		eRows:   eRows,
+		yRows:   yRows,
+		supp:    supp,
+		supn:    supn,
+		emitOK:  emitOK,
+		mark:    mark,
+	}, true, nil
+}
 
-	// Step 6 — children in ORD order. For each candidate r, the child's
-	// tuples are exactly the tuples containing r, with candidate rows > r
-	// (Lemma 3.3). The tuple lists per candidate are laid out in one flat
-	// counted array; candidate positions come from binary search in the
-	// sorted eRows (candidate counts are tiny compared to tuple counts).
-	if len(eRows) > 0 && !m.skipChildren {
-		posOf := func(r int32) int {
-			return sort.Search(len(eRows), func(i int) bool { return eRows[i] >= r })
-		}
-		counts := m.sc.A.I32.Alloc(len(eRows) + 1)
-		for ti := range cleaned {
-			for _, r := range cleaned[ti] {
+// tightBoundPrunes evaluates the step-4 bounds of a scanned node — Us1 and
+// Uc1, then the chi-square and gain vertex bounds at the absorbed counts —
+// and counts the first one that prunes it.
+func (m *miner) tightBoundPrunes(us1, supp, supn int) bool {
+	c := &m.ex.Stats.Counters
+	switch {
+	case us1 < m.opt.MinSup:
+		c.PrunedTightBound++
+	case m.opt.needsConfBound() && m.confBoundFails(float64(us1)/float64(us1+supn)):
+		c.PrunedTightBound++
+	case m.opt.MinChi > 0 && stats.Chi2UpperBound(supp+supn, supp, m.n, m.numPos) < m.opt.MinChi:
+		c.PrunedChiBound++
+	case m.opt.MinEntropyGain > 0 && stats.EntropyGainUpperBound(supp+supn, supp, m.n, m.numPos) < m.opt.MinEntropyGain:
+		c.PrunedGainBound++
+	case m.opt.MinGiniGain > 0 && stats.GiniGainUpperBound(supp+supn, supp, m.n, m.numPos) < m.opt.MinGiniGain:
+		c.PrunedGainBound++
+	default:
+		return false
+	}
+	return true
+}
+
+// children is step 6 of Figure 5 over the candidates r ∈ E' ∩ [lo, hi),
+// in ORD order. Each child's tuples are exactly the node's tuples that
+// contain r, with candidate rows > r (Lemma 3.3). The tuple lists per
+// candidate are laid out in one flat counted array; candidate positions
+// come from binary search in the sorted E' (candidate counts are tiny
+// compared to tuple counts).
+func (m *miner) children(nd *node, lo, hi int) error {
+	eRows := nd.eRows
+	pLo := sort.Search(len(eRows), func(i int) bool { return eRows[i] >= int32(lo) })
+	pHi := sort.Search(len(eRows), func(i int) bool { return eRows[i] >= int32(hi) })
+	if pLo >= pHi {
+		return nil
+	}
+	span := eRows[pLo:pHi]
+	first, last := span[0], span[len(span)-1]
+	posOf := func(r int32) int {
+		return sort.Search(len(span), func(i int) bool { return span[i] >= r })
+	}
+	cleaned := nd.cleaned
+	counts := m.sc.A.I32.Alloc(len(span) + 1)
+	for ti := range cleaned {
+		for _, r := range cleaned[ti] {
+			if r > last {
+				break
+			}
+			if r >= first {
 				counts[posOf(r)+1]++
 			}
 		}
-		for i := 1; i <= len(eRows); i++ {
-			counts[i] += counts[i-1]
-		}
-		flat := m.sc.A.I32.Alloc(int(counts[len(eRows)]))
-		fill := m.sc.A.I32.Alloc(len(eRows))
-		for ti := range cleaned {
-			for _, r := range cleaned[ti] {
+	}
+	for i := 1; i <= len(span); i++ {
+		counts[i] += counts[i-1]
+	}
+	flat := m.sc.A.I32.Alloc(int(counts[len(span)]))
+	fill := m.sc.A.I32.Alloc(len(span))
+	for ti := range cleaned {
+		for _, r := range cleaned[ti] {
+			if r > last {
+				break
+			}
+			if r >= first {
 				p := posOf(r)
 				flat[int(counts[p])+int(fill[p])] = int32(ti)
 				fill[p]++
 			}
 		}
-		posBoundary := sort.Search(len(eRows), func(i int) bool { return eRows[i] >= int32(m.numPos) })
-		childBacking := m.sc.A.Tup.Alloc(int(counts[len(eRows)]))
-		for p, r := range eRows {
-			tis := flat[counts[p]:counts[p+1]]
-			child := childBacking[counts[p]:counts[p]:counts[p+1]]
-			for _, ti := range tis {
-				rows := cleaned[ti]
-				k := sort.Search(len(rows), func(i int) bool { return rows[i] > r })
-				child = append(child, tuple{Item: tuples[ti].Item, Rows: rows[k:]})
-			}
-			ca, cb := supp, supn
-			childEp := 0
-			if int(r) < m.numPos {
-				ca++
-				childEp = posBoundary - p - 1
-			} else {
-				cb++
-			}
-			m.sc.InX.Set(int(r))
-			err := m.mineNode(child, ca, cb, childEp, int(r))
-			m.sc.InX.Clear(int(r))
-			if err != nil {
-				return err
-			}
-		}
 	}
-
-	// Step 7 — check whether I(X) → C is the upper bound of an IRG that
-	// satisfies the constraints, after all descendants (Lemma 3.4).
-	if emitOK {
-		if err := m.maybeEmit(tuples, supp, supn); err != nil {
+	posBoundary := sort.Search(len(eRows), func(i int) bool { return eRows[i] >= int32(m.numPos) })
+	childBacking := m.sc.A.Tup.Alloc(int(counts[len(span)]))
+	for p, r := range span {
+		tis := flat[counts[p]:counts[p+1]]
+		child := childBacking[counts[p]:counts[p]:counts[p+1]]
+		for _, ti := range tis {
+			rows := cleaned[ti]
+			k := sort.Search(len(rows), func(i int) bool { return rows[i] > r })
+			child = append(child, tuple{Item: nd.tuples[ti].Item, Rows: rows[k:]})
+		}
+		ca, cb := nd.supp, nd.supn
+		childEp := 0
+		if int(r) < m.numPos {
+			ca++
+			childEp = posBoundary - (pLo + p) - 1
+		} else {
+			cb++
+		}
+		m.sc.InX.Set(int(r))
+		err := m.mineNode(child, ca, cb, childEp, int(r))
+		m.sc.InX.Clear(int(r))
+		if err != nil {
 			return err
 		}
 	}
+	return nil
+}
 
-	for _, r := range yRows {
+// close finishes an opened node once its children ran with outcome err:
+// step 7 — emit I(X) → C if it is the upper bound of an IRG satisfying the
+// constraints, after all descendants (Lemma 3.4) — only when err is nil,
+// then pop Y from the row set and the node's buffers from the arena.
+func (m *miner) close(nd *node, err error) error {
+	if err == nil && nd.emitOK {
+		err = m.maybeEmit(nd.tuples, nd.supp, nd.supn)
+	}
+	for _, r := range nd.yRows {
 		m.sc.InX.Clear(int(r))
 	}
-	return nil
+	m.sc.A.Release(nd.mark)
+	return err
 }
 
 // maybeEmit applies the step-7 constraint and interestingness checks for

@@ -28,13 +28,15 @@ func MineParallel(d *dataset.Dataset, consequent int, opt Options, workers int) 
 
 // Task granularity: depth-2 nodes. The row enumeration tree is extremely
 // left-heavy (the first root subtree holds about half the work), so
-// scheduling whole root subtrees starves all but one worker. Instead,
-// every singleton {r1} runs as an emission-only task (children skipped)
-// and every pair {r1, r2} runs as a full subtree task whose conditional
-// table is built directly from the global transposed table — sound
-// because candidate lists built this way are supersets of the ones the
-// sequential traversal would pass down (pruning 1 re-detects absorbed
-// rows locally) and candidate collection is order-independent.
+// scheduling whole root subtrees starves all but one worker. Instead the
+// subtasks are the pairs (r1, r2), r1 ≤ r2, and a worker executes
+// consecutive subtasks that share r1 as one span task (mineSpan): it
+// replays root {r1} exactly as Mine opens it — back scan, bounds, Y
+// absorption, cleaned table — and expands only the children r2 ∈ E'(r1)
+// inside the span, each built from the root's cleaned table. The span holding the
+// singleton (r1, r1) counts the root's own events and runs its step 7.
+// Span tasks replay the root, so the union of tasks is exactly Mine's
+// tree: each node is visited once, and the summed counters equal Mine's.
 //
 // That subtask universe lives in internal/plan: a plan.Partition is a
 // contiguous slice of the linearized triangle, a plan.Source deals
@@ -43,12 +45,13 @@ func MineParallel(d *dataset.Dataset, consequent int, opt Options, workers int) 
 // a cluster worker consumes plan.NewSpanSource over its leased slice —
 // the scheduler below is the same either way. The universe is fixed by
 // the row count alone and only its distribution varies, so the summed
-// pruning counters are identical across worker counts, schedules, and
-// cluster topologies.
+// counters are identical across worker counts, schedules, and cluster
+// topologies.
 
 // wsGrain is the partition size below which tasks are no longer split.
-// Pair subtrees near the diagonal are tiny; splitting below this
-// granularity costs more in deque traffic than it recovers in balance.
+// Pair subtrees near the diagonal are tiny, and every split costs one
+// more root replay; splitting below this granularity costs more than it
+// recovers in balance.
 const wsGrain = 16
 
 // wsDeque is one worker's task queue. The owner pushes and pops at the
@@ -213,8 +216,9 @@ func minePartitions(ctx context.Context, ordered *dataset.Dataset, shared *datas
 	return outs
 }
 
-// minePartition executes every subtask of partition p in linear order and
-// returns how many ran before cancellation (if any) stopped it.
+// minePartition executes partition p one root span at a time (mineSpan)
+// and returns how many subtasks ran before cancellation (if any) stopped
+// it. A span's subtasks are credited only once the whole span has run.
 func (m *miner) minePartition(p plan.Partition) int {
 	ran := 0
 	idx := p.Start
@@ -225,19 +229,10 @@ func (m *miner) minePartition(p plan.Partition) int {
 		if end > p.End {
 			end = p.End
 		}
-		lo := r1 + int(idx-base)
-		hi := r1 + int(end-base)
-		for r2 := lo; r2 < hi; r2++ {
-			if m.ex.Err() != nil {
-				return ran
-			}
-			if r2 == r1 {
-				m.mineSingleton(r1)
-			} else {
-				m.minePair(r1, r2)
-			}
-			ran++
+		if m.mineSpan(r1, r1+int(idx-base), r1+int(end-base)) != nil {
+			return ran
 		}
+		ran += int(end - idx)
 		idx = end
 	}
 	return ran
@@ -288,15 +283,14 @@ func MineParallelContext(ctx context.Context, d *dataset.Dataset, consequent int
 	searchDone()
 
 	// Rejection accounting: a group dropped by a worker's local filter is a
-	// constraint-satisfying group the global fixpoint would also reject (see
-	// the dominator-transitivity argument in mineSingleton/minePair), but
-	// rejection EVENTS are not scheduling-independent — a pair task can
-	// rediscover a group whose node the sequential traversal absorbs via
-	// pruning 1, so the same group may be rejected in two tasks, or locally
-	// in one worker and again in the fixpoint. Deduplicating by row set
-	// (closed groups are identified by their row sets) makes the counter
-	// deterministic and equal to sequential Mine's, which rejects each
-	// dominated group exactly once.
+	// constraint-satisfying group the global fixpoint would also reject
+	// (dropping a group because ANY constraint-satisfying subset group has
+	// ≥ confidence is sound: if that subset is itself uninteresting,
+	// transitivity yields an interesting dominator). Span tasks visit each
+	// node once, so every group is rejected at most once — locally or in
+	// the fixpoint. Counting distinct rejected row sets (closed groups are
+	// identified by their row sets) additionally collapses the duplicate
+	// discoveries the pruning-2 ablation allows.
 	rejected := bitset.NewDedup()
 	var cands []irgEntry
 	for _, o := range outs {
@@ -329,13 +323,21 @@ func MineParallelContext(ctx context.Context, d *dataset.Dataset, consequent int
 // by the in-process scheduler above and MergePartials at the cluster
 // boundary. ex.Stats.Counters must already hold the summed subtask
 // counters; GroupsEmitted and GroupsNotInterest are recomputed globally
-// here.
+// here. The stats are copied into res only after the Finish phase stops,
+// so the fixpoint's time is reported.
 func finishParallel(ex *engine.Exec, res *Result, ordered *dataset.Dataset, ord *dataset.Ordering, opt Options, cands []irgEntry, rejected *bitset.Dedup) (*Result, error) {
+	finishDone := engine.Phase(&ex.Stats.Timings.Finish)
+	err := applyFixpoint(ex, res, ordered, ord, opt, cands, rejected)
+	finishDone()
+	res.stats = ex.Stats
+	return res, err
+}
+
+// applyFixpoint is finishParallel's body: it decides the candidates, sets
+// the group counters, and fills res.Groups (left nil on cancellation).
+func applyFixpoint(ex *engine.Exec, res *Result, ordered *dataset.Dataset, ord *dataset.Ordering, opt Options, cands []irgEntry, rejected *bitset.Dedup) error {
 	ex.Stats.GroupsEmitted = 0
 	ex.Stats.GroupsNotInterest = 0
-
-	finishDone := engine.Phase(&ex.Stats.Timings.Finish)
-	defer finishDone()
 
 	// Sequential interestingness fixpoint: more general groups (larger row
 	// sets) decided first; row-set dedup collapses duplicates from ablation
@@ -346,8 +348,7 @@ func finishParallel(ex *engine.Exec, res *Result, ordered *dataset.Dataset, ord 
 	var kept []irgEntry
 	for _, c := range cands {
 		if err := ex.Err(); err != nil {
-			res.stats = ex.Stats
-			return res, err
+			return err
 		}
 		interesting := true
 		for i := range kept {
@@ -371,11 +372,10 @@ func finishParallel(ex *engine.Exec, res *Result, ordered *dataset.Dataset, ord 
 	ex.Stats.GroupsEmitted = int64(len(kept))
 	ex.Stats.GroupsNotInterest = int64(rejected.Len())
 
+	var groups []RuleGroup
 	for i := range kept {
 		if err := ex.Err(); err != nil {
-			res.Groups = nil
-			res.stats = ex.Stats
-			return res, err
+			return err
 		}
 		e := &kept[i]
 		g := RuleGroup{
@@ -390,80 +390,12 @@ func finishParallel(ex *engine.Exec, res *Result, ordered *dataset.Dataset, ord 
 		if opt.ComputeLowerBounds {
 			g.LowerBounds, g.Truncated = MineLowerBounds(ordered, e.items, e.rows, opt.MaxLowerBounds)
 		}
-		res.Groups = append(res.Groups, g)
+		groups = append(groups, g)
 	}
 	// Deterministic output order regardless of worker scheduling.
-	sort.SliceStable(res.Groups, func(i, j int) bool {
-		return lessItems(res.Groups[i].Antecedent, res.Groups[j].Antecedent)
+	sort.SliceStable(groups, func(i, j int) bool {
+		return lessItems(groups[i].Antecedent, groups[j].Antecedent)
 	})
-	res.stats = ex.Stats
-	return res, nil
-}
-
-// mineSingleton runs node {r1} in emission-only mode: steps 1–5 and 7, no
-// children (pair tasks own the depth-2 subtrees). Dropping a group because
-// ANY constraint-satisfying subset group has ≥ confidence is globally
-// sound (if that subset is itself uninteresting, transitivity yields an
-// interesting dominator), so each worker filters against its local store
-// only. Errors (cancellation) are recorded in the miner's Exec and surface
-// through the caller's poll.
-func (m *miner) mineSingleton(ri int) {
-	mark := m.sc.A.Mark()
-	defer m.sc.A.Release(mark)
-	tuples := m.rootTuples(ri)
-	supp, supn := 0, 0
-	if ri < m.numPos {
-		supp = 1
-	} else {
-		supn = 1
-	}
-	epCount := m.numPos - ri - 1
-	if epCount < 0 {
-		epCount = 0
-	}
-	m.sc.InX.Set(ri)
-	m.skipChildren = true
-	_ = m.mineNode(tuples, supp, supn, epCount, ri)
-	m.skipChildren = false
-	m.sc.InX.Clear(ri)
-}
-
-// minePair runs the full subtree of node {r1, r2}, with the conditional
-// table built directly from the global transposed table.
-func (m *miner) minePair(r1, r2 int) {
-	mark := m.sc.A.Mark()
-	defer m.sc.A.Release(mark)
-	row := &m.ds.Rows[r1]
-	tuples := m.sc.A.Tup.Alloc(len(row.Items))[:0]
-	for _, it := range row.Items {
-		if !m.ds.Rows[r2].HasItem(it) {
-			continue
-		}
-		list := m.tt.Lists[it]
-		k := sort.Search(len(list), func(i int) bool { return list[i] > int32(r2) })
-		tuples = append(tuples, tuple{Item: it, Rows: list[k:]})
-	}
-	if len(tuples) == 0 {
-		return
-	}
-	supp, supn := 0, 0
-	if r1 < m.numPos {
-		supp++
-	} else {
-		supn++
-	}
-	if r2 < m.numPos {
-		supp++
-	} else {
-		supn++
-	}
-	epCount := m.numPos - r2 - 1
-	if epCount < 0 {
-		epCount = 0
-	}
-	m.sc.InX.Set(r1)
-	m.sc.InX.Set(r2)
-	_ = m.mineNode(tuples, supp, supn, epCount, r2)
-	m.sc.InX.Clear(r1)
-	m.sc.InX.Clear(r2)
+	res.Groups = groups
+	return nil
 }

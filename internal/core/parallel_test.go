@@ -1,11 +1,13 @@
 package core
 
 import (
+	"context"
 	"math/rand"
 	"reflect"
 	"testing"
 
 	"repro/internal/dataset"
+	"repro/internal/plan"
 )
 
 func TestMineParallelMatchesSequentialOnPaperExample(t *testing.T) {
@@ -98,5 +100,42 @@ func TestMineParallelDeterministicOrder(t *testing.T) {
 				t.Fatal("group order varies across runs")
 			}
 		}
+	}
+}
+
+// Every phase a parallel or merged run goes through is reported: the
+// fixpoint's Finish time must survive the copy of the stats into the
+// result. (MergePartials does no search of its own, so it reports only
+// Setup and Finish.)
+func TestParallelAndMergedReportEveryPhase(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	var d *dataset.Dataset
+	for d == nil || len(mustMine(t, d, 0, Options{MinSup: 1}).Groups) < 3 {
+		d = randomDataset(rng)
+	}
+	opt := Options{MinSup: 1}
+	par, err := MineParallel(d, 0, opt, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if tm := par.Stats().Timings; tm.Setup <= 0 || tm.Search <= 0 || tm.Finish <= 0 {
+		t.Fatalf("MineParallel phases not all reported: %+v", tm)
+	}
+
+	ctx := context.Background()
+	var partials []*Partial
+	for _, p := range plan.Universe(len(d.Rows)).SplitN(2) {
+		part, err := MinePartitions(ctx, d, 0, opt, p, 2)
+		if err != nil {
+			t.Fatal(err)
+		}
+		partials = append(partials, part)
+	}
+	merged, err := MergePartials(ctx, d, 0, opt, partials)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if tm := merged.Stats().Timings; tm.Setup <= 0 || tm.Finish <= 0 {
+		t.Fatalf("MergePartials phases not all reported: %+v", tm)
 	}
 }

@@ -17,8 +17,8 @@ import (
 // interestingness filtering applied, global fixpoint NOT applied), the row
 // sets rejected by that local filter, and the subtask pruning counters.
 // Partials from any exact cover of the universe merge — via MergePartials
-// — into precisely the single-node MineParallel result, including
-// byte-identical Counters. Partial has a JSON wire form; row ids are in
+// — into precisely the sequential Mine result, including byte-identical
+// Counters. Partial has a JSON wire form; row ids are in
 // the consequent view's reordered (ORD) space, so partials are only
 // meaningful between processes that resolved the same snapshot.
 type Partial struct {
@@ -175,8 +175,8 @@ func MinePartitions(ctx context.Context, d *dataset.Dataset, consequent int, opt
 
 // MergePartials applies the global interestingness fixpoint to partials
 // covering the whole universe of d's consequent view and returns the
-// final Result. Counter semantics match single-node MineParallel exactly:
-// subtask counters are summed, worker-local GroupsEmitted and
+// final Result. Counters equal sequential Mine's exactly: subtask
+// counters are summed, worker-local GroupsEmitted and
 // GroupsNotInterest are discarded, and both are recomputed globally (with
 // rejected row sets deduplicated across partials by content). Callers —
 // the cluster coordinator — are responsible for ensuring the partials

@@ -7,13 +7,14 @@ import (
 	"reflect"
 	"testing"
 
+	"repro/internal/bitset"
 	"repro/internal/dataset"
 	"repro/internal/plan"
 )
 
 // Property: mining any exact cover of the universe partition by partition,
 // shipping each Partial through its JSON wire form, and merging yields
-// exactly the single-node MineParallel result — groups AND Counters.
+// exactly the sequential Mine result — groups AND Counters.
 func TestPropertyPartitionedMiningMatchesSingleNode(t *testing.T) {
 	rng := rand.New(rand.NewSource(4242))
 	ctx := context.Background()
@@ -24,12 +25,9 @@ func TestPropertyPartitionedMiningMatchesSingleNode(t *testing.T) {
 			MinConf: []float64{0, 0.5, 0.9}[rng.Intn(3)],
 			MinChi:  []float64{0, 0.5}[rng.Intn(2)],
 		}
-		single, err := MineParallel(d, 0, opt, 1+rng.Intn(3))
-		if err != nil {
-			t.Fatal(err)
-		}
+		seq := mustMine(t, d, 0, opt)
 
-		parts := plan.Universe(single.NumRows).SplitN(1 + rng.Intn(5))
+		parts := plan.Universe(seq.NumRows).SplitN(1 + rng.Intn(5))
 		var partials []*Partial
 		for _, p := range parts {
 			partial, err := MinePartitions(ctx, d, 0, opt, p, 1+rng.Intn(3))
@@ -46,17 +44,27 @@ func TestPropertyPartitionedMiningMatchesSingleNode(t *testing.T) {
 			}
 			partials = append(partials, &back)
 		}
+		// Span tasks visit every node of Mine's tree once, so no group is
+		// discovered, and shipped as a candidate, twice.
+		seen := bitset.NewDedup()
+		for _, p := range partials {
+			for _, c := range p.cands {
+				if !seen.Add(c.rows) {
+					t.Fatalf("iter %d (%d parts): candidate %v shipped twice", iter, len(parts), c.rows.Ints())
+				}
+			}
+		}
 		merged, err := MergePartials(ctx, d, 0, opt, partials)
 		if err != nil {
 			t.Fatal(err)
 		}
 
-		if !reflect.DeepEqual(coreKeys(single), coreKeys(merged)) {
-			t.Fatalf("iter %d (%d parts): merged differs\nsingle %v\nmerged %v",
-				iter, len(parts), coreKeys(single), coreKeys(merged))
+		if !reflect.DeepEqual(coreKeys(seq), coreKeys(merged)) {
+			t.Fatalf("iter %d (%d parts): merged differs\nMine %v\nmerged %v",
+				iter, len(parts), coreKeys(seq), coreKeys(merged))
 		}
-		if sc, mc := single.Stats().Counters, merged.Stats().Counters; sc != mc {
-			t.Fatalf("iter %d (%d parts): counters differ\nsingle %+v\nmerged %+v", iter, len(parts), sc, mc)
+		if sc, mc := seq.Stats().Counters, merged.Stats().Counters; sc != mc {
+			t.Fatalf("iter %d (%d parts): counters differ\nMine   %+v\nmerged %+v", iter, len(parts), sc, mc)
 		}
 	}
 }

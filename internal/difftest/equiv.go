@@ -22,6 +22,7 @@
 package difftest
 
 import (
+	"context"
 	"fmt"
 	"sort"
 	"strings"
@@ -32,6 +33,7 @@ import (
 	"repro/internal/columne"
 	"repro/internal/core"
 	"repro/internal/dataset"
+	"repro/internal/plan"
 	"repro/internal/reference"
 	"repro/internal/stats"
 )
@@ -108,29 +110,36 @@ func CheckMineEquivalence(c Case) error {
 		return err
 	}
 
-	// Parallel stats must be deterministic: the summed counters are a
-	// property of the task decomposition, not of scheduling or worker count,
-	// and the result-shaped counters match sequential Mine. (Only asserted
-	// without ablation switches — disabling pruning 2 allows duplicate
-	// discoveries whose rejection accounting is legitimately path-dependent.)
+	// The scheduler's span tasks replay each root exactly as Mine opens
+	// it, so the union of tasks is Mine's enumeration tree: every counter
+	// matches the sequential run, whatever the worker count or partition
+	// cover. (Only asserted without ablation switches — disabling pruning
+	// 2 allows duplicate discoveries whose rejection accounting is
+	// legitimately path-dependent.)
 	if !c.Opt.DisablePruning1 && !c.Opt.DisablePruning2 && !c.Opt.DisablePruning3 {
-		otherWorkers := 1
-		if c.Workers == 1 {
-			otherWorkers = 3
+		if err := checkSameAsMine(fmt.Sprintf("MineParallel(workers=%d)", c.Workers), par, seq); err != nil {
+			return err
 		}
-		par2, err := core.MineParallel(c.D, c.Consequent, c.Opt, otherWorkers)
-		if err != nil {
-			return fmt.Errorf("core.MineParallel(workers=%d): %w", otherWorkers, err)
+		for w := 1; w <= 3; w++ {
+			if w == c.Workers {
+				continue
+			}
+			other, err := core.MineParallel(c.D, c.Consequent, c.Opt, w)
+			if err != nil {
+				return fmt.Errorf("core.MineParallel(workers=%d): %w", w, err)
+			}
+			if err := checkSameAsMine(fmt.Sprintf("MineParallel(workers=%d)", w), other, seq); err != nil {
+				return err
+			}
 		}
-		if par.Stats().Counters != par2.Stats().Counters {
-			return fmt.Errorf("parallel stats differ across worker counts %d vs %d:\n %+v\n %+v",
-				c.Workers, otherWorkers, par.Stats(), par2.Stats())
-		}
-		if par.Stats().GroupsEmitted != seq.Stats().GroupsEmitted ||
-			par.Stats().GroupsNotInterest != seq.Stats().GroupsNotInterest {
-			return fmt.Errorf("parallel group accounting %d/%d differs from sequential %d/%d",
-				par.Stats().GroupsEmitted, par.Stats().GroupsNotInterest,
-				seq.Stats().GroupsEmitted, seq.Stats().GroupsNotInterest)
+		for k := 1; k <= 3; k++ {
+			merged, err := minePartitioned(c, k)
+			if err != nil {
+				return err
+			}
+			if err := checkSameAsMine(fmt.Sprintf("MergePartials(SplitN(%d))", k), merged, seq); err != nil {
+				return err
+			}
 		}
 	}
 
@@ -170,6 +179,38 @@ func CheckMineEquivalence(c Case) error {
 		}
 	}
 	return nil
+}
+
+// checkSameAsMine asserts that a partitioned run returned Mine's groups
+// with byte-identical Counters.
+func checkSameAsMine(label string, got, seq *core.Result) error {
+	if err := diffKeys(label+" vs Mine", coreGroupKeys(got), coreGroupKeys(seq)); err != nil {
+		return err
+	}
+	if got.Stats().Counters != seq.Stats().Counters {
+		return fmt.Errorf("%s counters differ from Mine:\n got  %+v\n want %+v",
+			label, got.Stats().Counters, seq.Stats().Counters)
+	}
+	return nil
+}
+
+// minePartitioned mines c over the k-way SplitN cover of its task universe
+// with MinePartitions and merges the partials.
+func minePartitioned(c Case, k int) (*core.Result, error) {
+	ctx := context.Background()
+	var partials []*core.Partial
+	for _, p := range plan.Universe(len(c.D.Rows)).SplitN(k) {
+		part, err := core.MinePartitions(ctx, c.D, c.Consequent, c.Opt, p, c.Workers)
+		if err != nil {
+			return nil, fmt.Errorf("core.MinePartitions(%+v): %w", p, err)
+		}
+		partials = append(partials, part)
+	}
+	res, err := core.MergePartials(ctx, c.D, c.Consequent, c.Opt, partials)
+	if err != nil {
+		return nil, fmt.Errorf("core.MergePartials: %w", err)
+	}
+	return res, nil
 }
 
 func itemSliceKeys(sets [][]dataset.Item) []string {

@@ -1,6 +1,9 @@
 package engine
 
-import "testing"
+import (
+	"runtime"
+	"testing"
+)
 
 func TestSlabMarkReleaseRestoresHighWater(t *testing.T) {
 	var s Slab[int32]
@@ -97,6 +100,58 @@ func TestSlabSteadyStateZeroAllocs(t *testing.T) {
 	cycle() // warm to high water
 	if n := testing.AllocsPerRun(20, cycle); n != 0 {
 		t.Fatalf("steady-state cycle allocates %v times, want 0", n)
+	}
+}
+
+// Growth adds chunks instead of copying: every byte a run allocates is
+// storage the slab retains, and a repeated run that spans several chunks
+// reuses them without allocating.
+func TestSlabGrowthByChunks(t *testing.T) {
+	var s Slab[int32]
+	run := func() {
+		m := s.Mark()
+		for i := 1; i <= 300; i++ {
+			_ = s.Alloc(i)
+		}
+		s.Release(m)
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	run()
+	runtime.ReadMemStats(&after)
+	if len(s.chunks) < 3 {
+		t.Fatalf("run spanned %d chunks, want several", len(s.chunks))
+	}
+	if got, kept := int64(after.TotalAlloc-before.TotalAlloc), s.SizeBytes(); got > kept+kept/8 {
+		t.Fatalf("run allocated %d bytes for %d retained: growth copied", got, kept)
+	}
+	if n := testing.AllocsPerRun(5, run); n != 0 {
+		t.Fatalf("repeated multi-chunk run allocates %v times, want 0", n)
+	}
+}
+
+// An allocation larger than the next free chunk takes a larger free chunk
+// further out, so Release-then-regrow keeps reusing what the slab holds.
+func TestSlabReusesLargerFreeChunk(t *testing.T) {
+	var s Slab[int32]
+	m := s.Mark()
+	_ = s.Alloc(60)
+	_ = s.Alloc(100) // chunk 1 (128)
+	_ = s.Alloc(200) // chunk 2 (256)
+	s.Release(m)
+	size := s.SizeBytes()
+	_ = s.Alloc(60)
+	big := s.Alloc(200) // chunk 1 is too small: chunk 2 is swapped in
+	big[0] = 1
+	if s.SizeBytes() != size {
+		t.Fatalf("slab grew from %d to %d bytes with a large enough free chunk", size, s.SizeBytes())
+	}
+	if s.Mark() != 64+200 {
+		t.Fatalf("mark = %d, want %d", s.Mark(), 64+200)
+	}
+	s.Release(m)
+	if s.Mark() != 0 {
+		t.Fatalf("release left mark %d", s.Mark())
 	}
 }
 

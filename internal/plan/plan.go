@@ -8,10 +8,10 @@
 //
 //	U(N) = { (r1, r2) : 0 <= r1 <= r2 < N }
 //
-// where (r1, r1) is the emission-only singleton task of root r1 and
-// (r1, r2), r2 > r1, is the full subtree task of node {r1, r2} (see
+// where (r1, r1) is root r1's own node (its counters and emission) and
+// (r1, r2), r2 > r1, is the subtree of r1's child {r1, r2} (see
 // core/parallel.go for why depth-2 granularity balances the left-heavy
-// tree). Subtasks are linearized root-major:
+// tree and how a run of one root's subtasks executes). Subtasks are linearized root-major:
 //
 //	index(r1, r2) = RootBase(N, r1) + (r2 - r1)
 //

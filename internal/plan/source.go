@@ -51,8 +51,8 @@ func (s *RootSource) Claim() (Partition, bool) {
 // SpanSource deals out one leased partition root-span by root-span — how a
 // cluster worker feeds its local work-stealing scheduler from the slice of
 // the universe it holds a lease on. Spans never straddle roots, so the
-// consumer's singleton/pair execution logic is identical to the
-// whole-universe case.
+// consumer's per-root span execution is identical to the whole-universe
+// case.
 type SpanSource struct {
 	p   Partition
 	idx atomic.Int64

@@ -83,6 +83,7 @@ type Manager struct {
 	mu       sync.Mutex
 	cond     *sync.Cond // signalled when work is queued or draining starts
 	jobs     map[string]*Job
+	finished []string        // terminal job ids in m.jobs, oldest first
 	inflight map[reqKey]*Job // request key -> queued/running job
 	seq      int
 	queues   []*tenantQueue // WRR order: first-submission order, stable
@@ -94,6 +95,13 @@ type Manager struct {
 
 	wg sync.WaitGroup // live workers
 }
+
+// maxFinishedJobs bounds how many terminal jobs the manager keeps for
+// status and result lookups. A finished job holds its records and encoded
+// body, so an unbounded table grows the heap with every request. Beyond
+// the bound the oldest terminal jobs are forgotten, and their ids answer
+// 404 job_not_found; queued and running jobs are never evicted.
+const maxFinishedJobs = 64
 
 // NewManager starts workers goroutines (<= 0 selects GOMAXPROCS) serving
 // queues with a total depth bound (<= 0 selects 64). cacheBytes bounds the
@@ -317,7 +325,20 @@ func (m *Manager) addCachedJobLocked(spec JobSpec, res cachedResult) *Job {
 	m.seq++
 	job := newCachedJob(jobID(m.seq), spec, res)
 	m.jobs[job.ID] = job
+	m.retireLocked(job)
 	return job
+}
+
+// retireLocked records that job reached a terminal state and evicts the
+// oldest terminal job once more than maxFinishedJobs are retained.
+// Callers hold m.mu.
+func (m *Manager) retireLocked(job *Job) {
+	m.finished = append(m.finished, job.ID)
+	if len(m.finished) > maxFinishedJobs {
+		delete(m.jobs, m.finished[0])
+		copy(m.finished, m.finished[1:])
+		m.finished = m.finished[:len(m.finished)-1]
+	}
 }
 
 // jobID renders the job identifier without fmt's reflection overhead.
@@ -424,6 +445,7 @@ func (m *Manager) Cancel(id string) error {
 		m.mu.Lock()
 		m.detachLocked(job)
 		m.releaseTenantLocked(job)
+		m.retireLocked(job)
 		m.metricsRef().JobFinished(StateCancelled)
 		m.mu.Unlock()
 	case job.state == StateRunning:
@@ -475,6 +497,7 @@ func (m *Manager) Shutdown(ctx context.Context) error {
 			j.wakeLocked()
 			m.detachLocked(j)
 			m.releaseTenantLocked(j)
+			m.retireLocked(j)
 			m.metricsRef().JobFinished(StateCancelled)
 		case StateRunning:
 			j.cancel()
@@ -641,7 +664,14 @@ func (m *Manager) run(job *Job) {
 			body = append(body, '\n')
 			etag := etagFor(job.key)
 			job.setReplay(body, etag)
+			// The job leaves the singleflight table in the same critical
+			// section that caches its answer, so a submission that
+			// follows a cache hit is served from the cache, not joined to
+			// the finishing job.
+			m.mu.Lock()
 			m.cache.put(job.key, cachedResult{body: body, count: len(records), stats: stats, hasStats: hasStats, etag: etag})
+			m.detachLocked(job)
+			m.mu.Unlock()
 		}
 	case errors.Is(err, context.Canceled), errors.Is(err, context.DeadlineExceeded):
 		// An interrupted run emitted a prefix of its answer: flag it
@@ -683,5 +713,6 @@ func (m *Manager) run(job *Job) {
 	m.mu.Lock()
 	m.detachLocked(job)
 	m.releaseTenantLocked(job)
+	m.retireLocked(job)
 	m.mu.Unlock()
 }

@@ -566,3 +566,53 @@ func TestJobTimeoutDeadline(t *testing.T) {
 		t.Fatal("timed-out job should carry the deadline error")
 	}
 }
+
+// The manager keeps at most MaxFinishedJobs terminal jobs: the oldest
+// ones are forgotten and answer 404 job_not_found, while a running job
+// outlives any number of newer finished ones.
+func TestFinishedJobRetentionIsBounded(t *testing.T) {
+	ts, mgr := service(t, 2, 4)
+	put(t, ts.URL+"/v1/datasets/slow", slowExample())
+	put(t, ts.URL+"/v1/datasets/paper", paperExample)
+
+	running := submit(t, ts.URL, serve.JobSpec{Miner: "farmer", Dataset: "slow", MinSup: 1})
+	waitState(t, ts.URL, running.ID, func(s serve.JobStatus) bool { return s.State == serve.StateRunning })
+
+	spec := serve.JobSpec{Miner: "farmer", Dataset: "paper", MinSup: 2}
+	first := submit(t, ts.URL, spec)
+	waitState(t, ts.URL, first.ID, func(s serve.JobStatus) bool { return s.State == serve.StateDone })
+	const extra = 5
+	var last serve.JobStatus
+	for i := 0; i < serve.MaxFinishedJobs+extra; i++ {
+		last = submit(t, ts.URL, spec) // cached replays: born terminal
+	}
+
+	if n := len(mgr.Jobs()); n != serve.MaxFinishedJobs+1 {
+		t.Fatalf("manager retains %d jobs, want %d terminal + 1 running", n, serve.MaxFinishedJobs)
+	}
+	resp, err := http.Get(ts.URL + "/v1/jobs/" + first.ID)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var body struct {
+		Code string `json:"code"`
+	}
+	err = json.NewDecoder(resp.Body).Decode(&body)
+	resp.Body.Close()
+	if err != nil || resp.StatusCode != http.StatusNotFound || body.Code != "job_not_found" {
+		t.Fatalf("evicted job: status %d code %q (%v), want 404 job_not_found", resp.StatusCode, body.Code, err)
+	}
+	if st := status(t, ts.URL, last.ID); st.State != serve.StateDone {
+		t.Fatalf("newest job state %q, want done", st.State)
+	}
+	if st := status(t, ts.URL, running.ID); st.State != serve.StateRunning {
+		t.Fatalf("running job state %q after the flood, want running", st.State)
+	}
+
+	req, _ := http.NewRequest(http.MethodDelete, ts.URL+"/v1/jobs/"+running.ID, nil)
+	if resp, err = http.DefaultClient.Do(req); err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	waitState(t, ts.URL, running.ID, func(s serve.JobStatus) bool { return s.State.Terminal() })
+}

@@ -29,9 +29,9 @@ func Prepare(d *Dataset) (*Snapshot, error) {
 // ParallelFallbackRows is the input-size crossover of RunFARMER's auto
 // parallel mode (Workers < 0): datasets with fewer rows run the sequential
 // miner, larger ones the work-stealing scheduler with GOMAXPROCS workers.
-// At bench scale (≈20 rows) the scheduler's per-task setup and result
-// merge cost more than the enumeration itself on several datasets
-// (BENCH_core.json: MineParallel loses to Mine on LC, PC and ALL), while
-// the paper-scale datasets (62–181 rows) amortize it. An explicit positive
+// At bench scale (≈20 rows) the scheduler's rejected-set bookkeeping and
+// deferred result merge cost more than the enumeration itself on some
+// datasets (BENCH_core.json: MineParallelW2 loses to Mine on LC), while
+// the paper-scale datasets (62–181 rows) amortize them. An explicit positive
 // Workers count always runs the scheduler.
 const ParallelFallbackRows = 32
