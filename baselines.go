@@ -1,8 +1,6 @@
 package farmer
 
 import (
-	"context"
-
 	"repro/internal/carpenter"
 	"repro/internal/charm"
 	"repro/internal/closet"
@@ -17,41 +15,41 @@ import (
 // group by column enumeration; CARPENTER is the row-enumeration closed-
 // pattern predecessor of FARMER.
 type (
-	// CharmOptions configures MineClosedCHARM (MinSup, work budget).
+	// CharmOptions configures RunCHARM (MinSup, work budget).
 	CharmOptions = charm.Options
-	// CharmResult is MineClosedCHARM's outcome.
+	// CharmResult is RunCHARM's outcome.
 	CharmResult = charm.Result
 	// ClosedSet is a closed itemset with support and tidset (CHARM).
 	ClosedSet = charm.ClosedSet
 
-	// ClosetOptions configures MineClosedFPTree.
+	// ClosetOptions configures RunCLOSET.
 	ClosetOptions = closet.Options
-	// ClosetResult is MineClosedFPTree's outcome.
+	// ClosetResult is RunCLOSET's outcome.
 	ClosetResult = closet.Result
 	// ClosetClosedSet is a closed itemset as reported by the CLOSET-style
 	// miner (items and support; no tidset).
 	ClosetClosedSet = closet.ClosedSet
 
-	// ColumnEOptions configures MineColumnE.
+	// ColumnEOptions configures RunColumnE.
 	ColumnEOptions = columne.Options
-	// ColumnEResult is MineColumnE's outcome.
+	// ColumnEResult is RunColumnE's outcome.
 	ColumnEResult = columne.Result
 	// ColumnERule is one interesting rule found by column enumeration.
 	ColumnERule = columne.Rule
 
-	// CobblerOptions configures MineClosedCOBBLER (MinSup, ForceMode,
+	// CobblerOptions configures RunCOBBLER (MinSup, ForceMode,
 	// SwitchDepth).
 	CobblerOptions = cobbler.Options
-	// CobblerResult is MineClosedCOBBLER's outcome, including per-mode node
+	// CobblerResult is RunCOBBLER's outcome, including per-mode node
 	// counts and the number of mode switches.
 	CobblerResult = cobbler.Result
 	// CobblerClosedPattern is a closed itemset with supporting rows as
 	// reported by COBBLER.
 	CobblerClosedPattern = cobbler.ClosedPattern
 
-	// CarpenterOptions configures MineClosedCARPENTER.
+	// CarpenterOptions configures RunCARPENTER.
 	CarpenterOptions = carpenter.Options
-	// CarpenterResult is MineClosedCARPENTER's outcome.
+	// CarpenterResult is RunCARPENTER's outcome.
 	CarpenterResult = carpenter.Result
 	// ClosedPattern is a closed itemset with its supporting rows
 	// (CARPENTER).
@@ -65,126 +63,3 @@ var (
 	ErrClosetBudget  = closet.ErrBudget
 	ErrColumnEBudget = columne.ErrBudget
 )
-
-// MineClosedCHARM mines all closed itemsets of d with the CHARM algorithm
-// (Zaki & Hsiao, SDM 2002).
-// Deprecated: use RunCHARM, which adds context cancellation and folds the
-// streaming variant into the options struct.
-func MineClosedCHARM(d *Dataset, opt CharmOptions) (*CharmResult, error) {
-	return RunCHARM(context.Background(), d, opt)
-}
-
-// MineClosedCHARMContext is MineClosedCHARM under a context: cancellation
-// stops the search within one node expansion and returns ctx.Err() with
-// the closed sets found so far.
-// Deprecated: use RunCHARM, its canonical name.
-func MineClosedCHARMContext(ctx context.Context, d *Dataset, opt CharmOptions) (*CharmResult, error) {
-	return RunCHARM(ctx, d, opt)
-}
-
-// MineClosedCHARMStream is MineClosedCHARMContext with streaming emission:
-// each closed set is delivered as soon as it survives subsumption, in
-// discovery order (not the sorted batch order).
-// Deprecated: use RunCHARM with the OnClosed options field.
-func MineClosedCHARMStream(ctx context.Context, d *Dataset, opt CharmOptions, onClosed func(ClosedSet) error) (*CharmResult, error) {
-	opt.OnClosed = onClosed
-	return RunCHARM(ctx, d, opt)
-}
-
-// MineClosedFPTree mines all closed itemsets of d with a CLOSET-style
-// FP-tree pattern-growth miner.
-// Deprecated: use RunCLOSET, which adds context cancellation and folds the
-// streaming variant into the options struct.
-func MineClosedFPTree(d *Dataset, opt ClosetOptions) (*ClosetResult, error) {
-	return RunCLOSET(context.Background(), d, opt)
-}
-
-// MineClosedFPTreeContext is MineClosedFPTree under a context; see
-// MineClosedCHARMContext for the cancellation contract.
-// Deprecated: use RunCLOSET, its canonical name.
-func MineClosedFPTreeContext(ctx context.Context, d *Dataset, opt ClosetOptions) (*ClosetResult, error) {
-	return RunCLOSET(ctx, d, opt)
-}
-
-// MineClosedFPTreeStream is MineClosedFPTreeContext with streaming
-// emission, in discovery order.
-// Deprecated: use RunCLOSET with the OnClosed options field.
-func MineClosedFPTreeStream(ctx context.Context, d *Dataset, opt ClosetOptions, onClosed func(ClosetClosedSet) error) (*ClosetResult, error) {
-	opt.OnClosed = onClosed
-	return RunCLOSET(ctx, d, opt)
-}
-
-// MineColumnE mines one representative rule per interesting rule group by
-// column enumeration (Bayardo & Agrawal, KDD 1999 style) — the paper's
-// ColumnE baseline.
-// Deprecated: use RunColumnE, which adds context cancellation and folds
-// the streaming variant into the options struct.
-func MineColumnE(d *Dataset, consequent int, opt ColumnEOptions) (*ColumnEResult, error) {
-	return RunColumnE(context.Background(), d, consequent, opt)
-}
-
-// MineColumnEContext is MineColumnE under a context; cancellation stops
-// the search within one node expansion and returns ctx.Err().
-// Deprecated: use RunColumnE, its canonical name.
-func MineColumnEContext(ctx context.Context, d *Dataset, consequent int, opt ColumnEOptions) (*ColumnEResult, error) {
-	return RunColumnE(ctx, d, consequent, opt)
-}
-
-// MineColumnEStream is MineColumnEContext with streaming emission. Unlike
-// the other miners, ColumnE decides interestingness by a global fixpoint
-// over all candidates, so rules are delivered during the finish phase (in
-// fixpoint order, not the sorted batch order) rather than as enumeration
-// proceeds.
-// Deprecated: use RunColumnE with the OnRule options field.
-func MineColumnEStream(ctx context.Context, d *Dataset, consequent int, opt ColumnEOptions, onRule func(ColumnERule) error) (*ColumnEResult, error) {
-	opt.OnRule = onRule
-	return RunColumnE(ctx, d, consequent, opt)
-}
-
-// MineClosedCARPENTER mines all closed itemsets of d by row enumeration
-// (Pan et al., KDD 2003) — FARMER's class-blind predecessor.
-// Deprecated: use RunCARPENTER, which adds context cancellation and folds
-// the streaming variant into the options struct.
-func MineClosedCARPENTER(d *Dataset, opt CarpenterOptions) (*CarpenterResult, error) {
-	return RunCARPENTER(context.Background(), d, opt)
-}
-
-// MineClosedCARPENTERContext is MineClosedCARPENTER under a context; see
-// MineClosedCHARMContext for the cancellation contract.
-// Deprecated: use RunCARPENTER, its canonical name.
-func MineClosedCARPENTERContext(ctx context.Context, d *Dataset, opt CarpenterOptions) (*CarpenterResult, error) {
-	return RunCARPENTER(ctx, d, opt)
-}
-
-// MineClosedCARPENTERStream is MineClosedCARPENTERContext with streaming
-// emission, in discovery order.
-// Deprecated: use RunCARPENTER with the OnClosed options field.
-func MineClosedCARPENTERStream(ctx context.Context, d *Dataset, opt CarpenterOptions, onClosed func(ClosedPattern) error) (*CarpenterResult, error) {
-	opt.OnClosed = onClosed
-	return RunCARPENTER(ctx, d, opt)
-}
-
-// MineClosedCOBBLER mines all closed itemsets of d with COBBLER (Pan et
-// al., SSDBM 2004), switching dynamically between row and feature
-// enumeration per subtree — the authors' successor for tables large in
-// both dimensions.
-// Deprecated: use RunCOBBLER, which adds context cancellation and folds
-// the streaming variant into the options struct.
-func MineClosedCOBBLER(d *Dataset, opt CobblerOptions) (*CobblerResult, error) {
-	return RunCOBBLER(context.Background(), d, opt)
-}
-
-// MineClosedCOBBLERContext is MineClosedCOBBLER under a context; see
-// MineClosedCHARMContext for the cancellation contract.
-// Deprecated: use RunCOBBLER, its canonical name.
-func MineClosedCOBBLERContext(ctx context.Context, d *Dataset, opt CobblerOptions) (*CobblerResult, error) {
-	return RunCOBBLER(ctx, d, opt)
-}
-
-// MineClosedCOBBLERStream is MineClosedCOBBLERContext with streaming
-// emission, in discovery order.
-// Deprecated: use RunCOBBLER with the OnClosed options field.
-func MineClosedCOBBLERStream(ctx context.Context, d *Dataset, opt CobblerOptions, onClosed func(CobblerClosedPattern) error) (*CobblerResult, error) {
-	opt.OnClosed = onClosed
-	return RunCOBBLER(ctx, d, opt)
-}

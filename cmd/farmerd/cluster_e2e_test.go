@@ -165,7 +165,8 @@ func TestFarmerdClusterEndToEnd(t *testing.T) {
 	}
 	compare("farmer", cr, sr)
 
-	// CHARM: a whole-universe lease placed on one worker.
+	// CHARM: not row-partitionable, so it runs on the coordinator's local
+	// runner.
 	cr, sr = runBoth(serve.JobSpec{Miner: "charm", Dataset: "paper", MinSup: 2})
 	if len(cr) == 0 {
 		t.Fatal("charm job emitted nothing")

@@ -12,7 +12,7 @@
 //
 // # What is in the box
 //
-//   - Mine — the FARMER algorithm with all three pruning strategies of the
+//   - RunFARMER — the FARMER algorithm with all three pruning strategies of the
 //     paper (candidate absorption, back scan, support/confidence/chi-square
 //     bounds) and MineLB lower-bound recovery.
 //   - Dataset/Matrix loaders, equal-depth / equal-width / entropy-MDL
@@ -28,7 +28,7 @@
 // # Quick start
 //
 //	d, _ := farmer.ReadTransactions(f)
-//	res, _ := farmer.Mine(d, d.ClassIndex("cancer"), farmer.MineOptions{
+//	res, _ := farmer.RunFARMER(context.Background(), d, d.ClassIndex("cancer"), farmer.MineOptions{
 //		MinSup:             3,
 //		MinConf:            0.9,
 //		ComputeLowerBounds: true,

@@ -1,5 +1,5 @@
 // Biomarker discovery report: mine the statistically strongest rule groups
-// with branch-and-bound (MineTopK) and render them as gene-level conditions
+// with branch-and-bound (RunTopK) and render them as gene-level conditions
 // a biologist can read (ExplainGroup) — the interpretability argument of
 // the paper's introduction, end to end.
 //

@@ -19,11 +19,12 @@ type (
 	// Matrix is a continuous gene-expression matrix with class labels.
 	Matrix = dataset.Matrix
 
-	// MineOptions configures Mine; see the field documentation on
+	// MineOptions configures RunFARMER; see the field documentation on
 	// core.Options (MinSup, MinConf, MinChi, ComputeLowerBounds,
-	// MaxLowerBounds, and the ablation switches).
+	// MaxLowerBounds, Workers, OnGroup, and the ablation switches).
 	MineOptions = core.Options
-	// MineResult is Mine's outcome: the rule groups plus search statistics.
+	// MineResult is RunFARMER's outcome: the rule groups plus search
+	// statistics.
 	MineResult = core.Result
 	// RuleGroup is one interesting rule group: upper bound, optional lower
 	// bounds, supporting rows, support, confidence and chi-square value.
@@ -31,14 +32,14 @@ type (
 	// MineStats records search effort and pruning effectiveness.
 	MineStats = core.Stats
 
-	// Measure selects the objective of MineTopK (chi-square, entropy gain,
+	// Measure selects the objective of RunTopK (chi-square, entropy gain,
 	// or gini gain — all convex, so branch-and-bound applies).
 	Measure = core.Measure
 	// ScoredGroup is a rule group with its objective value.
 	ScoredGroup = core.ScoredGroup
 )
 
-// Objectives for MineTopK.
+// Objectives for RunTopK.
 const (
 	// MeasureChi2 ranks groups by the 2×2 chi-square statistic.
 	MeasureChi2 = core.MeasureChi2
@@ -47,88 +48,6 @@ const (
 	// MeasureGiniGain ranks groups by Gini-impurity reduction.
 	MeasureGiniGain = core.MeasureGiniGain
 )
-
-// Mine runs FARMER over d for rules predicting the given consequent class
-// index and returns the interesting rule groups satisfying the options'
-// constraints. See Definition 2.2 of the paper: a rule group is interesting
-// iff every strictly more general group it contains has strictly lower
-// confidence.
-//
-// Deprecated: use RunFARMER, which adds context cancellation and folds the
-// parallel and streaming variants into the options struct.
-func Mine(d *Dataset, consequent int, opt MineOptions) (*MineResult, error) {
-	return RunFARMER(context.Background(), d, consequent, opt)
-}
-
-// MineContext is Mine under a context: cancellation or deadline expiry
-// stops the search within one node expansion and returns ctx.Err() together
-// with a partial result (the groups emitted so far and the statistics of
-// the work actually done).
-//
-// Deprecated: use RunFARMER, its canonical name.
-func MineContext(ctx context.Context, d *Dataset, consequent int, opt MineOptions) (*MineResult, error) {
-	return RunFARMER(ctx, d, consequent, opt)
-}
-
-// MineStream is MineContext with streaming emission: each interesting rule
-// group is delivered to onGroup as soon as it is accepted, in the same
-// order Mine would report it. A non-nil error from onGroup aborts the
-// search and is returned verbatim. The returned result carries statistics
-// only; its Groups field is nil.
-//
-// Deprecated: use RunFARMER with the OnGroup options field.
-func MineStream(ctx context.Context, d *Dataset, consequent int, opt MineOptions, onGroup func(RuleGroup) error) (*MineResult, error) {
-	opt.OnGroup = onGroup
-	opt.Workers = 0
-	return RunFARMER(ctx, d, consequent, opt)
-}
-
-// MineParallel is Mine spread across worker goroutines (workers ≤ 0 uses
-// GOMAXPROCS); results are identical to Mine, in deterministic antecedent
-// order.
-//
-// Deprecated: use RunFARMER with the Workers options field.
-func MineParallel(d *Dataset, consequent int, opt MineOptions, workers int) (*MineResult, error) {
-	return MineParallelContext(context.Background(), d, consequent, opt, workers)
-}
-
-// MineParallelContext is MineParallel under a context. On cancellation all
-// workers drain and exit before it returns ctx.Err() with the merged
-// partial statistics; no rule groups are reported (the interestingness
-// fixpoint is not sound on a partial candidate set).
-//
-// Deprecated: use RunFARMER with the Workers options field.
-func MineParallelContext(ctx context.Context, d *Dataset, consequent int, opt MineOptions, workers int) (*MineResult, error) {
-	opt.Workers = workers
-	if workers <= 0 {
-		opt.Workers = -1 // keep the historical "≤ 0 means GOMAXPROCS"
-	}
-	opt.OnGroup = nil
-	return RunFARMER(ctx, d, consequent, opt)
-}
-
-// MineTopK returns the k rule groups maximizing the measure (subject to a
-// minimum support) by branch-and-bound over the row enumeration tree with
-// the Morishita–Sese convex bound, best-first. Unlike Mine it ranks ALL
-// rule groups, not just the interesting ones.
-//
-// Deprecated: use RunTopK, which adds context cancellation, an options
-// struct and a stats-carrying result.
-func MineTopK(d *Dataset, consequent, k int, measure Measure, minsup int) ([]ScoredGroup, error) {
-	return MineTopKContext(context.Background(), d, consequent, k, measure, minsup)
-}
-
-// MineTopKContext is MineTopK under a context; on cancellation it returns
-// the best groups found so far together with ctx.Err().
-//
-// Deprecated: use RunTopK, its canonical name.
-func MineTopKContext(ctx context.Context, d *Dataset, consequent, k int, measure Measure, minsup int) ([]ScoredGroup, error) {
-	res, err := RunTopK(ctx, d, consequent, TopKOptions{K: k, Measure: measure, MinSup: minsup})
-	if res == nil {
-		return nil, err
-	}
-	return res.Groups, err
-}
 
 // LowerBounds computes the lower bounds (minimal generators) of an
 // antecedent over d: the minimal itemsets L ⊆ antecedent with

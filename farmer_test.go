@@ -274,3 +274,47 @@ func TestSpecPresets(t *testing.T) {
 		t.Fatal("preset spec lists incomplete")
 	}
 }
+
+// RunFARMER rejects the unsupported OnGroup+Workers combination instead of
+// silently picking one mode.
+func TestRunFARMERStreamingParallelConflict(t *testing.T) {
+	d := loadExample(t)
+	_, err := farmer.RunFARMER(context.Background(), d, 0, farmer.MineOptions{
+		MinSup:  1,
+		Workers: 2,
+		OnGroup: func(farmer.RuleGroup) error { return nil },
+	})
+	if err == nil {
+		t.Fatal("OnGroup with Workers != 0 must error")
+	}
+}
+
+// Every result type is usable through the MinerResult interface.
+func TestMinerResultInterface(t *testing.T) {
+	d := loadExample(t)
+	ctx := context.Background()
+
+	farmerRes, err := farmer.RunFARMER(ctx, d, 0, farmer.MineOptions{MinSup: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	charmRes, err := farmer.RunCHARM(ctx, d, farmer.CharmOptions{MinSup: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		name string
+		res  farmer.MinerResult
+		want int
+	}{
+		{"farmer", farmerRes, len(farmerRes.Groups)},
+		{"charm", charmRes, len(charmRes.Closed)},
+	} {
+		if tc.res.Count() != tc.want {
+			t.Errorf("%s: Count() = %d, want %d", tc.name, tc.res.Count(), tc.want)
+		}
+		if tc.res.Stats().NodesVisited == 0 {
+			t.Errorf("%s: Stats().NodesVisited = 0, want > 0", tc.name)
+		}
+	}
+}

@@ -6,6 +6,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
@@ -117,6 +118,103 @@ func TestNoWorkersRunsLocally(t *testing.T) {
 	}
 }
 
+// TestNonFarmerJobsRunLocally: only FARMER's enumeration splits into pair
+// tasks, so every other miner runs on the coordinator's local runner even
+// while workers are polling. No lease is ever offered, and the job streams
+// exactly the records serve.BuildRunner produces.
+func TestNonFarmerJobsRunLocally(t *testing.T) {
+	ts, mgr, coord := coordService(t, Options{})
+	if err := mgr.Registry().Put("d", testDataset(t)); err != nil {
+		t.Fatal(err)
+	}
+
+	// A worker that polls but never executes or reports anything.
+	ghost := NewWorker(ts.URL, WorkerOptions{ID: "ghost"})
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	if l, err := ghost.poll(ctx); err != nil || l != nil {
+		t.Fatalf("first poll: lease %v, err %v", l, err)
+	}
+	if n := coord.ActiveWorkers(); n != 1 {
+		t.Fatalf("ActiveWorkers = %d after poll, want 1", n)
+	}
+	leased := make(chan *Lease, 1)
+	polling := make(chan struct{})
+	go func() {
+		defer close(polling)
+		for ctx.Err() == nil {
+			if l, _ := ghost.poll(ctx); l != nil {
+				leased <- l
+				return
+			}
+			time.Sleep(5 * time.Millisecond)
+		}
+	}()
+
+	job, err := mgr.Submit(serve.JobSpec{Miner: "charm", Dataset: "d", MinSup: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	select {
+	case <-job.Done():
+	case l := <-leased:
+		t.Fatalf("worker was offered lease %s for a CHARM job", l.ID)
+	case <-time.After(10 * time.Second):
+		t.Fatal("CHARM job did not finish")
+	}
+	cancel()
+	<-polling
+	select {
+	case l := <-leased:
+		t.Fatalf("worker was offered lease %s for a CHARM job", l.ID)
+	default:
+	}
+	if st := job.Status(); st.State != serve.StateDone {
+		t.Fatalf("job state %q: %s", st.State, st.Error)
+	}
+
+	d, snap, _, err := mgr.Registry().Entry("d")
+	if err != nil {
+		t.Fatal(err)
+	}
+	run, err := serve.BuildRunner(d, snap, job.Spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var want []string
+	if _, err := run(context.Background(), func(v any) error {
+		raw, err := json.Marshal(v)
+		want = append(want, string(raw))
+		return err
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if len(want) == 0 {
+		t.Fatal("fixture mined no closed sets")
+	}
+
+	resp, err := http.Get(ts.URL + "/v1/jobs/" + job.ID + "/results")
+	if err != nil {
+		t.Fatal(err)
+	}
+	body, err := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+	lines := strings.Split(strings.TrimSuffix(string(body), "\n"), "\n")
+	if got := lines[:len(lines)-1]; !reflect.DeepEqual(got, want) {
+		t.Fatalf("streamed records differ from serve.BuildRunner's:\n got %q\nwant %q", got, want)
+	}
+	var end serve.EndFrame
+	if err := json.Unmarshal([]byte(lines[len(lines)-1]), &end); err != nil {
+		t.Fatal(err)
+	}
+	if !end.End || end.State != serve.StateDone || end.Emitted != len(want) {
+		t.Fatalf("end frame %+v, want done with %d records", end, len(want))
+	}
+}
+
 // TestWorkerSnapshotResolution covers the fetch-or-load chain: HTTP fetch
 // with digest verification and store write-through, then a second worker
 // resolving the same digest purely from the shared store while the
@@ -224,7 +322,8 @@ func TestLeaseExpiryRequeuesSplit(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// Claim the single whole-universe partition lease and never renew it.
+	// Claim the single partition lease (the whole universe, Chunks: 1)
+	// and never renew it.
 	var first *Lease
 	deadline := time.Now().Add(5 * time.Second)
 	for first == nil && time.Now().Before(deadline) {
@@ -235,9 +334,6 @@ func TestLeaseExpiryRequeuesSplit(t *testing.T) {
 	}
 	if first == nil {
 		t.Fatal("no lease offered")
-	}
-	if first.Kind != KindPartition {
-		t.Fatalf("lease kind %q, want partition", first.Kind)
 	}
 
 	// After expiry the reaper must requeue the slice split in two.

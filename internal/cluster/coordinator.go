@@ -12,7 +12,6 @@ import (
 
 	farmer "repro"
 	"repro/internal/core"
-	"repro/internal/engine"
 	"repro/internal/plan"
 	"repro/internal/serve"
 	"repro/internal/store"
@@ -57,7 +56,6 @@ func (o Options) withDefaults() Options {
 type lease struct {
 	id        string
 	job       *cjob
-	kind      LeaseKind
 	part      plan.Partition
 	attempts  int
 	notBefore time.Time // earliest next assignment (retry backoff)
@@ -65,24 +63,18 @@ type lease struct {
 	worker    string
 }
 
-// cjob is the coordinator-side state of one distributed job run.
+// cjob is the coordinator-side state of one distributed FARMER run.
 type cjob struct {
 	id     string
 	spec   serve.JobSpec
 	digest string
 	name   string
 
-	// FARMER partition jobs.
 	d          *farmer.Dataset
 	consequent int
 	opt        farmer.MineOptions
 	cov        *plan.Coverage
 	partials   []*core.Partial
-
-	// Whole-universe jobs.
-	records  []json.RawMessage
-	stats    engine.Stats
-	hasStats bool
 
 	err  error
 	done chan struct{} // closed exactly once: complete, failed, or cancelled
@@ -102,8 +94,9 @@ type snapEntry struct {
 	refs int
 }
 
-// Coordinator turns jobs submitted to a farmerd manager into leases over
-// the enumeration-task universe and merges what workers report back. It
+// Coordinator turns FARMER jobs submitted to a farmerd manager into leases
+// over the enumeration-task universe and merges what workers report back;
+// every other miner runs on the coordinator's local runner. It
 // plugs into the manager through SetRunnerBuilder, so queueing,
 // singleflight, result caching, NDJSON streaming and cancellation are the
 // ordinary serve machinery — only the runner's insides change.
@@ -240,31 +233,29 @@ func (c *Coordinator) activeWorkersLocked() int {
 }
 
 // buildRunner is the coordinator's serve.RunnerBuilder: it validates the
-// spec through the standard in-process builder, then wraps execution so
-// that — when workers are available at run time — the job is leased out
-// instead of mined locally. With no live workers the job runs in-process,
-// so a daemon started with -coordinator behaves exactly like a standalone
+// spec through the standard in-process builder. Only FARMER's row
+// enumeration splits into independent pair tasks, so every other miner
+// gets that local runner as is. A FARMER job is leased out when workers
+// are available at run time; with no live workers it runs in-process, so
+// a daemon started with -coordinator behaves exactly like a standalone
 // one until workers join.
 func (c *Coordinator) buildRunner(d *farmer.Dataset, snap *farmer.Snapshot, spec serve.JobSpec) (serve.RunnerFunc, error) {
 	local, err := serve.BuildRunner(d, snap, spec)
 	if err != nil {
 		return nil, err
 	}
-	var consequent int
-	var opt farmer.MineOptions
-	if spec.Miner == "farmer" {
-		if consequent, opt, err = serve.FarmerJobOptions(d, snap, spec); err != nil {
-			return nil, err
-		}
+	if spec.Miner != "farmer" {
+		return local, nil
+	}
+	consequent, opt, err := serve.FarmerJobOptions(d, snap, spec)
+	if err != nil {
+		return nil, err
 	}
 	return func(ctx context.Context, emit func(v any) error) (farmer.MinerResult, error) {
 		if c.ActiveWorkers() == 0 {
 			return local(ctx, emit)
 		}
-		if spec.Miner == "farmer" {
-			return c.runFarmer(ctx, d, snap, spec, consequent, opt, emit)
-		}
-		return c.runWhole(ctx, snap, spec, emit)
+		return c.runFarmer(ctx, d, snap, spec, consequent, opt, emit)
 	}, nil
 }
 
@@ -324,12 +315,11 @@ func (c *Coordinator) enqueueLocked(l *lease) {
 	c.pending = append(c.pending, l)
 }
 
-func (c *Coordinator) newLeaseLocked(j *cjob, kind LeaseKind, part plan.Partition) *lease {
+func (c *Coordinator) newLeaseLocked(j *cjob, part plan.Partition) *lease {
 	c.seq++
 	return &lease{
 		id:   fmt.Sprintf("lease-%d", c.seq),
 		job:  j,
-		kind: kind,
 		part: part,
 	}
 }
@@ -353,7 +343,7 @@ func (c *Coordinator) runFarmer(ctx context.Context, d *farmer.Dataset, snap *fa
 	j.cov = plan.NewCoverage(n)
 	parts := plan.Universe(n).SplitN(c.opt.Chunks)
 	for _, p := range parts {
-		c.enqueueLocked(c.newLeaseLocked(j, KindPartition, p))
+		c.enqueueLocked(c.newLeaseLocked(j, p))
 	}
 	if len(parts) == 0 {
 		j.finish(nil) // empty universe: nothing to lease
@@ -380,36 +370,6 @@ func (c *Coordinator) runFarmer(ctx context.Context, d *farmer.Dataset, snap *fa
 	return res, nil
 }
 
-// runWhole places the entire job on one worker and replays its records.
-func (c *Coordinator) runWhole(ctx context.Context, snap *farmer.Snapshot, spec serve.JobSpec, emit func(v any) error) (farmer.MinerResult, error) {
-	c.mu.Lock()
-	j, err := c.newJobLocked(spec, snap)
-	if err != nil {
-		c.mu.Unlock()
-		return nil, err
-	}
-	c.enqueueLocked(c.newLeaseLocked(j, KindWhole, plan.Partition{}))
-	c.mu.Unlock()
-	defer c.releaseJob(j)
-
-	if err := c.wait(ctx, j); err != nil {
-		return nil, err
-	}
-
-	c.mu.Lock()
-	records, stats, hasStats := j.records, j.stats, j.hasStats
-	c.mu.Unlock()
-	for _, rec := range records {
-		if err := emit(rec); err != nil {
-			return nil, err
-		}
-	}
-	if !hasStats {
-		return nil, nil
-	}
-	return clusterResult{stats: stats, count: len(records)}, nil
-}
-
 // wait blocks until the job completes, reclaiming work locally if every
 // worker disappears mid-job so a run never hangs on an empty cluster.
 func (c *Coordinator) wait(ctx context.Context, j *cjob) error {
@@ -434,14 +394,14 @@ func (c *Coordinator) wait(ctx context.Context, j *cjob) error {
 // them up here.
 func (c *Coordinator) reclaimLocal(ctx context.Context, j *cjob) {
 	c.mu.Lock()
-	if c.activeWorkersLocked() > 0 || j.d == nil {
+	if c.activeWorkersLocked() > 0 {
 		c.mu.Unlock()
 		return
 	}
 	var mine []*lease
 	kept := c.pending[:0]
 	for _, l := range c.pending {
-		if l.job == j && l.kind == KindPartition {
+		if l.job == j {
 			mine = append(mine, l)
 		} else {
 			kept = append(kept, l)
@@ -496,7 +456,6 @@ func (c *Coordinator) handlePoll(w http.ResponseWriter, r *http.Request) {
 			ID:           assigned.id,
 			Job:          assigned.job.id,
 			Spec:         assigned.job.spec,
-			Kind:         assigned.kind,
 			Partition:    assigned.part,
 			SnapshotName: assigned.job.name,
 			Digest:       assigned.job.digest,
@@ -543,7 +502,6 @@ func (c *Coordinator) handleResults(w http.ResponseWriter, r *http.Request) {
 	id := r.PathValue("id")
 	var (
 		partial *core.Partial
-		records []json.RawMessage
 		end     *EndFrame
 	)
 	dec := json.NewDecoder(r.Body)
@@ -563,8 +521,6 @@ func (c *Coordinator) handleResults(w http.ResponseWriter, r *http.Request) {
 				return
 			}
 			partial = p
-		case f.Record != nil:
-			records = append(records, f.Record)
 		}
 	}
 
@@ -583,16 +539,10 @@ func (c *Coordinator) handleResults(w http.ResponseWriter, r *http.Request) {
 		writeJSON(w, http.StatusOK, map[string]bool{"ok": true})
 		return
 	}
-	switch l.kind {
-	case KindPartition:
-		if partial == nil {
-			c.failLease(l, errors.New("cluster: partition lease reported no partial"))
-			writeJSON(w, http.StatusOK, map[string]bool{"ok": true})
-			return
-		}
+	if partial == nil {
+		c.failLease(l, errors.New("cluster: partition lease reported no partial"))
+	} else {
 		c.commitPartition(l, partial)
-	case KindWhole:
-		c.commitWhole(l, records, end)
 	}
 	writeJSON(w, http.StatusOK, map[string]bool{"ok": true})
 }
@@ -620,27 +570,10 @@ func (c *Coordinator) commitPartition(l *lease, partial *core.Partial) {
 	}
 }
 
-// commitWhole records a completed whole-universe lease and finishes the
-// job.
-func (c *Coordinator) commitWhole(l *lease, records []json.RawMessage, end *EndFrame) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if cur, ok := c.leases[l.id]; !ok || cur != l {
-		return
-	}
-	delete(c.leases, l.id)
-	j := l.job
-	j.records = records
-	if end.Stats != nil {
-		j.stats, j.hasStats = *end.Stats, true
-	}
-	j.finish(nil)
-}
-
 // failLease handles a lease whose attempt failed (worker error or
-// expiry): requeue with backoff — splitting partition leases so a
-// straggler's slice spreads across workers — or fail the job once the
-// attempt budget is exhausted.
+// expiry): requeue with backoff — split in two so a straggler's slice
+// spreads across workers — or fail the job once the attempt budget is
+// exhausted.
 func (c *Coordinator) failLease(l *lease, cause error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -663,17 +596,17 @@ func (c *Coordinator) failLeaseLocked(l *lease, cause error) {
 	}
 	backoff := time.Duration(l.attempts+1) * c.opt.LeaseTTL / 8
 	notBefore := time.Now().Add(backoff)
-	if l.kind == KindPartition && l.part.Len() > 1 {
+	if l.part.Len() > 1 {
 		lo, hi := l.part.Split()
 		for _, p := range []plan.Partition{lo, hi} {
-			nl := c.newLeaseLocked(j, KindPartition, p)
+			nl := c.newLeaseLocked(j, p)
 			nl.attempts = l.attempts + 1
 			nl.notBefore = notBefore
 			c.enqueueLocked(nl)
 		}
 		return
 	}
-	nl := c.newLeaseLocked(j, l.kind, l.part)
+	nl := c.newLeaseLocked(j, l.part)
 	nl.attempts = l.attempts + 1
 	nl.notBefore = notBefore
 	c.enqueueLocked(nl)
@@ -708,16 +641,6 @@ func (c *Coordinator) reaper() {
 		}
 	}
 }
-
-// clusterResult adapts a whole-lease worker's reported stats to the
-// MinerResult the job machinery expects.
-type clusterResult struct {
-	stats engine.Stats
-	count int
-}
-
-func (r clusterResult) Stats() engine.Stats { return r.stats }
-func (r clusterResult) Count() int          { return r.count }
 
 func writeJSON(w http.ResponseWriter, status int, v any) {
 	w.Header().Set("Content-Type", "application/json")

@@ -1,14 +1,16 @@
-// Package cluster shards mining across farmerd nodes. A coordinator sits
-// inside one daemon's job manager (via serve.Manager.SetRunnerBuilder) and
-// turns submitted jobs into leases over slices of the enumeration-task
-// universe (plan.Partition); workers — other farmerd processes started
-// with -worker-of — poll for leases, fetch the compiled dataset by
-// store-format snapshot digest (or load it from their own store), mine
-// their slice, and stream the partial back. The coordinator merges
-// partials with core.MergePartials, so the distributed result — rule
-// groups, NDJSON bytes, and engine.Stats counters — is identical to the
-// single-node run; plan.Coverage is the ledger that proves every subtask
-// was executed exactly once before the merge is allowed to happen.
+// Package cluster shards FARMER mining across farmerd nodes. A coordinator
+// sits inside one daemon's job manager (via serve.Manager.SetRunnerBuilder)
+// and turns submitted FARMER jobs into leases over slices of the
+// enumeration-task universe (plan.Partition); the other miners do not split
+// that way and run on the coordinator's local runner. Workers — other
+// farmerd processes started with -worker-of — poll for leases, fetch the
+// compiled dataset by store-format snapshot digest (or load it from their
+// own store), mine their slice, and stream the partial back. The
+// coordinator merges partials with core.MergePartials, so the distributed
+// result — rule groups, NDJSON bytes, and engine.Stats counters — is
+// identical to the single-node run; plan.Coverage is the ledger that
+// proves every subtask was executed exactly once before the merge is
+// allowed to happen.
 //
 // The protocol is pull-based HTTP/JSON under /cluster/v1 on the
 // coordinator's own listener:
@@ -30,35 +32,21 @@ package cluster
 import (
 	"encoding/json"
 
-	"repro/internal/engine"
 	"repro/internal/plan"
 	"repro/internal/serve"
 )
 
-// LeaseKind says how a worker executes a lease.
-type LeaseKind string
-
-const (
-	// KindPartition mines one plan.Partition of a FARMER job with
-	// core.MinePartitions and reports a single partial frame.
-	KindPartition LeaseKind = "partition"
-	// KindWhole runs the entire job through the standard in-process
-	// runner (serve.BuildRunner) and reports each NDJSON record — how
-	// non-FARMER miners, whose enumeration is not row-partitionable,
-	// are placed on a worker.
-	KindWhole LeaseKind = "whole"
-)
-
-// Lease is one unit of claimed work, as returned by POST /cluster/v1/poll.
+// Lease is one unit of claimed work, as returned by POST /cluster/v1/poll:
+// one plan.Partition of a FARMER job, which the worker mines with
+// core.MinePartitions and reports as a single partial frame.
 type Lease struct {
 	ID  string `json:"id"`
 	Job string `json:"job"`
 	// Spec is the submitted job spec; workers derive mining options from
 	// it exactly as a standalone daemon would.
 	Spec serve.JobSpec `json:"spec"`
-	Kind LeaseKind     `json:"kind"`
-	// Partition is the leased universe slice for KindPartition.
-	Partition plan.Partition `json:"partition,omitempty"`
+	// Partition is the leased universe slice.
+	Partition plan.Partition `json:"partition"`
 	// SnapshotName and Digest identify the compiled dataset: workers
 	// fetch-or-load by digest and may cache it under the name.
 	SnapshotName string `json:"snapshot_name"`
@@ -79,27 +67,21 @@ type PollResponse struct {
 }
 
 // Frame is one NDJSON line of POST /cluster/v1/leases/{id}/results.
-// Exactly one field is set. A result body is: zero or more partial/record
-// frames, then one end frame; the coordinator commits nothing until the
-// end frame arrives intact.
+// Exactly one field is set. A result body is: at most one partial frame,
+// then one end frame; the coordinator commits nothing until the end frame
+// arrives intact.
 type Frame struct {
-	// Partial is a serialized core.Partial (KindPartition leases). Kept
-	// as raw JSON here so the coordinator controls when it is decoded.
+	// Partial is a serialized core.Partial. Kept as raw JSON here so the
+	// coordinator controls when it is decoded.
 	Partial json.RawMessage `json:"partial,omitempty"`
-	// Record is one NDJSON result record (KindWhole leases), exactly the
-	// bytes the worker's in-process runner emitted.
-	Record json.RawMessage `json:"record,omitempty"`
 	// End terminates the stream.
 	End *EndFrame `json:"end,omitempty"`
 }
 
 // EndFrame closes a lease's result stream.
 type EndFrame struct {
-	// Error is the worker-side failure, empty on success. Cancellation
-	// errors requeue the lease; anything else fails the job.
+	// Error is the worker-side failure, empty on success. The
+	// coordinator requeues a failed lease with backoff until its attempt
+	// budget runs out.
 	Error string `json:"error,omitempty"`
-	// Stats carries the whole-job run's statistics (KindWhole only;
-	// partition leases carry their counters inside the partial).
-	Stats    *engine.Stats `json:"stats,omitempty"`
-	HasStats bool          `json:"has_stats,omitempty"`
 }

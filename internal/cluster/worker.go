@@ -156,55 +156,26 @@ func (w *Worker) execute(ctx context.Context, l *Lease) {
 	}()
 	defer func() { cancel(); <-renewDone }()
 
-	snap, err := w.snapshot(runCtx, l)
+	end := &EndFrame{}
+	partial, err := w.mine(runCtx, l)
 	if err != nil {
-		w.report(ctx, l, nil, nil, &EndFrame{Error: err.Error()})
-		return
+		partial, end.Error = nil, err.Error()
+	}
+	w.report(ctx, l, partial, end)
+}
+
+// mine resolves the lease's dataset and mines its partition.
+func (w *Worker) mine(ctx context.Context, l *Lease) (*core.Partial, error) {
+	snap, err := w.snapshot(ctx, l)
+	if err != nil {
+		return nil, err
 	}
 	d := snap.Dataset()
-
-	switch l.Kind {
-	case KindPartition:
-		consequent, opt, err := serve.FarmerJobOptions(d, snap, l.Spec)
-		if err != nil {
-			w.report(ctx, l, nil, nil, &EndFrame{Error: err.Error()})
-			return
-		}
-		partial, err := core.MinePartitions(runCtx, d, consequent, opt, l.Partition, w.opt.Workers)
-		if err != nil {
-			w.report(ctx, l, nil, nil, &EndFrame{Error: err.Error()})
-			return
-		}
-		w.report(ctx, l, partial, nil, &EndFrame{})
-	case KindWhole:
-		runner, err := serve.BuildRunner(d, snap, l.Spec)
-		if err != nil {
-			w.report(ctx, l, nil, nil, &EndFrame{Error: err.Error()})
-			return
-		}
-		var records []json.RawMessage
-		emit := func(v any) error {
-			raw, err := json.Marshal(v)
-			if err != nil {
-				return err
-			}
-			records = append(records, raw)
-			return nil
-		}
-		res, err := runner(runCtx, emit)
-		if err != nil {
-			w.report(ctx, l, nil, nil, &EndFrame{Error: err.Error()})
-			return
-		}
-		end := &EndFrame{}
-		if res != nil {
-			stats := res.Stats()
-			end.Stats, end.HasStats = &stats, true
-		}
-		w.report(ctx, l, nil, records, end)
-	default:
-		w.report(ctx, l, nil, nil, &EndFrame{Error: fmt.Sprintf("cluster: unknown lease kind %q", l.Kind)})
+	consequent, opt, err := serve.FarmerJobOptions(d, snap, l.Spec)
+	if err != nil {
+		return nil, err
 	}
+	return core.MinePartitions(ctx, d, consequent, opt, l.Partition, w.opt.Workers)
 }
 
 func (w *Worker) takeAbandonSlot() bool {
@@ -312,11 +283,11 @@ func (w *Worker) fetch(ctx context.Context, digest string) ([]byte, error) {
 	return io.ReadAll(resp.Body)
 }
 
-// report uploads the lease's result frames in one POST: optional partial,
-// the whole-job records, then the terminal end frame. The body is built
-// in memory — commit on the coordinator is atomic on the end frame, so
+// report uploads the lease's result frames in one POST: the partial (nil
+// when mining failed), then the terminal end frame. The body is built in
+// memory — commit on the coordinator is atomic on the end frame, so
 // streaming incrementally would buy nothing.
-func (w *Worker) report(ctx context.Context, l *Lease, partial *core.Partial, records []json.RawMessage, end *EndFrame) {
+func (w *Worker) report(ctx context.Context, l *Lease, partial *core.Partial, end *EndFrame) {
 	var body bytes.Buffer
 	enc := json.NewEncoder(&body)
 	if partial != nil {
@@ -324,11 +295,6 @@ func (w *Worker) report(ctx context.Context, l *Lease, partial *core.Partial, re
 		if err != nil {
 			end = &EndFrame{Error: fmt.Sprintf("cluster: encode partial: %v", err)}
 		} else if err := enc.Encode(Frame{Partial: raw}); err != nil {
-			return
-		}
-	}
-	for _, rec := range records {
-		if err := enc.Encode(Frame{Record: rec}); err != nil {
 			return
 		}
 	}

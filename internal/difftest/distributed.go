@@ -101,8 +101,8 @@ func (h *DistHarness) Close() {
 // run — the NDJSON result stream byte-identical and the deterministic
 // Counters equal. FARMER exercises the partition-lease path against the
 // in-process parallel runner (the counter-comparable baseline: the
-// distributed universe decomposition is MineParallel's); CHARM exercises
-// the whole-universe lease path.
+// distributed universe decomposition is MineParallel's); CHARM checks that
+// a miner the coordinator does not distribute runs on its local runner.
 func CheckDistributed(h *DistHarness, c Case) error {
 	h.seq++
 	name := fmt.Sprintf("dist-%d", h.seq)

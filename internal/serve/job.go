@@ -85,7 +85,8 @@ type Job struct {
 	nodes      int64
 	stopReason string
 	// endFrame memoizes the rendered NDJSON end frame (without the
-	// trailing newline) once the job is terminal.
+	// trailing newline) once the job is terminal; sealReplay renders it
+	// just before a clean completion turns terminal.
 	endFrame []byte
 }
 
@@ -155,14 +156,20 @@ func (j *Job) emit(v any) error {
 	return nil
 }
 
-// setReplay attaches the pre-encoded NDJSON body (and its ETag) of a
-// cleanly completed run, making the job replayable through the zero-copy
-// path. Called once, by the worker, after the terminal transition.
-func (j *Job) setReplay(body []byte, etag string) {
+// sealReplay flattens a cleanly completed run into its pre-encoded NDJSON
+// body — every record, then the end frame the Done transition will carry —
+// and attaches it with its ETag, making the job replayable through the
+// zero-copy path. Called once, by the worker, after the runner returns and
+// before finish, so the body can be cached before any streamer sees the
+// job terminal; replay serves it only once the state is Done.
+func (j *Job) sealReplay(etag string) (body []byte, count int) {
 	j.mu.Lock()
-	j.body = body
+	defer j.mu.Unlock()
+	j.endFrame = j.renderEndLocked(StateDone, "")
+	body = append(encodeBody(j.results), j.endFrame...)
+	j.body = append(body, '\n')
 	j.etag = etag
-	j.mu.Unlock()
+	return j.body, len(j.results)
 }
 
 // replay returns the pre-encoded NDJSON body and ETag when the job
@@ -241,26 +248,32 @@ func (j *Job) endBytes() []byte {
 		return nil
 	}
 	if j.endFrame == nil {
-		f := EndFrame{
-			End:           true,
-			State:         j.state,
-			Emitted:       j.emitted,
-			Partial:       j.partial,
-			NodesExpanded: j.nodes,
-			StopReason:    j.stopReason,
-			Error:         j.errMsg,
-		}
-		if j.hasGap && j.partial {
-			gap := j.gap
-			f.Gap = &gap
-		}
-		raw, err := json.Marshal(f)
-		if err != nil { // impossible: fixed field types
-			raw = []byte(`{"end":true}`)
-		}
-		j.endFrame = raw
+		j.endFrame = j.renderEndLocked(j.state, j.errMsg)
 	}
 	return j.endFrame
+}
+
+// renderEndLocked renders the end frame for the given terminal state from
+// the job's record count and anytime verdict. Callers must hold mu.
+func (j *Job) renderEndLocked(state State, errMsg string) []byte {
+	f := EndFrame{
+		End:           true,
+		State:         state,
+		Emitted:       j.emitted,
+		Partial:       j.partial,
+		NodesExpanded: j.nodes,
+		StopReason:    j.stopReason,
+		Error:         errMsg,
+	}
+	if j.hasGap && j.partial {
+		gap := j.gap
+		f.Gap = &gap
+	}
+	raw, err := json.Marshal(f)
+	if err != nil { // impossible: fixed field types
+		raw = []byte(`{"end":true}`)
+	}
+	return raw
 }
 
 // next returns the result records from index from onward, whether the job

@@ -648,7 +648,6 @@ func (m *Manager) run(job *Job) {
 			reason = "budget"
 		}
 		job.setOutcome(partial, gap, hasGap, nodes, reason)
-		job.finish(StateDone, stats, hasStats, "")
 		if !partial {
 			// Only complete, successful runs are replayable and cacheable:
 			// the records are final, so they are flattened once — together
@@ -657,22 +656,18 @@ func (m *Manager) run(job *Job) {
 			// path; every later replay shares this one buffer. A partial
 			// (budget-stopped) answer is never cached: re-asking must re-mine
 			// for a chance at a better answer.
-			job.mu.Lock()
-			records := job.results
-			job.mu.Unlock()
-			body := append(encodeBody(records), job.endBytes()...)
-			body = append(body, '\n')
 			etag := etagFor(job.key)
-			job.setReplay(body, etag)
-			// The job leaves the singleflight table in the same critical
-			// section that caches its answer, so a submission that
-			// follows a cache hit is served from the cache, not joined to
-			// the finishing job.
+			body, count := job.sealReplay(etag)
+			// The answer is cached, and the job leaves the singleflight
+			// table, before the Done transition wakes any streamer: a
+			// client that has read the end frame and asks again is served
+			// from the cache, never joined to the finishing job.
 			m.mu.Lock()
-			m.cache.put(job.key, cachedResult{body: body, count: len(records), stats: stats, hasStats: hasStats, etag: etag})
+			m.cache.put(job.key, cachedResult{body: body, count: count, stats: stats, hasStats: hasStats, etag: etag})
 			m.detachLocked(job)
 			m.mu.Unlock()
 		}
+		job.finish(StateDone, stats, hasStats, "")
 	case errors.Is(err, context.Canceled), errors.Is(err, context.DeadlineExceeded):
 		// An interrupted run emitted a prefix of its answer: flag it
 		// partial and say which of the deadline or an explicit cancel cut

@@ -104,10 +104,10 @@ func resolveClass(d *farmer.Dataset, class string) (int, error) {
 }
 
 // BuildRunner is the default, in-process runner builder — exported so a
-// cluster worker can execute whole-job leases through exactly the same
-// compilation path a standalone daemon uses (same validation, same wire
-// records), and so a coordinator's RunnerBuilder can fall back to it for
-// miners it does not distribute.
+// cluster coordinator's RunnerBuilder runs every miner it does not
+// distribute (all but FARMER), and FARMER itself when no worker is alive,
+// through exactly the same compilation path a standalone daemon uses (same
+// validation, same wire records).
 func BuildRunner(d *farmer.Dataset, snap *farmer.Snapshot, spec JobSpec) (RunnerFunc, error) {
 	return buildRunner(d, snap, spec)
 }

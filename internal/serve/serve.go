@@ -311,12 +311,13 @@ func (s *Server) query(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	// Submit may still have resolved a replay (cache filled between the
-	// lookup and the submission, or coalesced onto a finished job).
+	// lookup and the submission, or a mined job that already finished);
+	// only a cached job turns the miss into a hit.
+	w.Header().Set("X-Cache", "MISS")
 	if body, etag, ok := job.replay(); ok {
 		serveReplay(w, r, body, etag, job.cached)
 		return
 	}
-	w.Header().Set("X-Cache", "MISS")
 	w.Header().Set("Content-Type", ndjsonContentType)
 	w.WriteHeader(http.StatusOK)
 	streamFollow(w, r, job)

@@ -36,7 +36,9 @@ func TestStorePutLoadAcrossReopen(t *testing.T) {
 	}
 	st.Close()
 
-	st2 := openTestStore(t, dir, Options{})
+	// The default LRU budget: CacheBytes 0 keeps nothing decoded, so the
+	// LRU-hit assertion below would race the evictor.
+	st2 := openTestStore(t, dir, Options{CacheBytes: -1})
 	if got := st2.Generation(); got != 3 {
 		t.Fatalf("reopened generation = %d, want 3", got)
 	}

@@ -13,11 +13,9 @@ import (
 	"repro/internal/engine"
 )
 
-// This file is the canonical mining API: one entry point per miner, context
+// This file is the mining API: one Run* entry point per miner, context
 // first, with an options struct whose optional Workers / OnX callback
-// fields select parallel execution and streaming emission. The historical
-// Mine*/MineContext/MineStream/MineParallel name families in farmer.go and
-// baselines.go are thin deprecated wrappers over these functions.
+// fields select parallel execution and streaming emission.
 
 // MinerResult is the common face of every miner's result type: run
 // statistics plus the size of the materialized batch. All seven result
@@ -86,23 +84,25 @@ func ParseStrategy(name string) (Strategy, error) { return core.ParseStrategy(na
 func ParseMeasure(name string) (Measure, error) { return core.ParseMeasure(name) }
 
 // RunFARMER mines the interesting rule groups of d predicting the given
-// consequent class — the canonical form of Mine. Cancellation or deadline
-// expiry of ctx stops the search within one node expansion and returns
-// ctx.Err() together with a partial result.
+// consequent class that satisfy the options' constraints. See Definition
+// 2.2 of the paper: a rule group is interesting iff every strictly more
+// general group it contains has strictly lower confidence. Cancellation or
+// deadline expiry of ctx stops the search within one node expansion and
+// returns ctx.Err() together with a partial result.
 //
 // opt.Workers selects the execution mode: 0 runs the sequential miner; a
 // positive value runs the work-stealing parallel scheduler with exactly
 // that many workers; a negative value is the auto mode — GOMAXPROCS
 // workers, except that inputs below ParallelFallbackRows rows run the
 // sequential miner instead (at bench scale the scheduler's setup and
-// merge overhead loses to sequential Mine on several datasets — see the
+// merge overhead loses to the sequential miner on several datasets — see the
 // README performance notes; the mined groups are identical either way). A
 // cancelled parallel run reports no groups (the interestingness fixpoint
 // is not sound on a partial candidate set), only merged statistics.
 //
 // opt.OnGroup switches to streaming emission: each interesting rule group
-// is delivered as soon as it is accepted, in the same order Mine would
-// report it, and the result carries statistics only. A callback error
+// is delivered as soon as it is accepted, in the same order the batch
+// sequential run reports it, and the result carries statistics only. A callback error
 // aborts the run and is returned verbatim. Streaming is sequential;
 // combining OnGroup with Workers != 0 is an error.
 func RunFARMER(ctx context.Context, d *Dataset, consequent int, opt MineOptions) (*MineResult, error) {
@@ -123,9 +123,10 @@ func RunFARMER(ctx context.Context, d *Dataset, consequent int, opt MineOptions)
 }
 
 // RunTopK returns the opt.K rule groups maximizing opt.Measure (subject to
-// opt.MinSup) by branch-and-bound — the canonical form of MineTopK. On
-// cancellation it returns the best groups found so far together with
-// ctx.Err().
+// opt.MinSup) by branch-and-bound over the row enumeration tree with the
+// Morishita–Sese convex bound. Unlike RunFARMER it ranks all rule groups,
+// not just the interesting ones. On cancellation it returns the best
+// groups found so far together with ctx.Err().
 //
 // Setting opt.MaxMillis or opt.MaxNodes turns the search into an anytime
 // run: it stops within one node expansion of the budget and returns the
@@ -137,9 +138,9 @@ func RunTopK(ctx context.Context, d *Dataset, consequent int, opt TopKOptions) (
 	return core.TopK(ctx, d, consequent, opt)
 }
 
-// RunCHARM mines all closed itemsets of d with the CHARM algorithm — the
-// canonical form of MineClosedCHARM. Cancellation stops the search within
-// one node expansion and returns ctx.Err() with the partial result.
+// RunCHARM mines all closed itemsets of d with the CHARM algorithm (Zaki &
+// Hsiao, SDM 2002). Cancellation stops the search within one node
+// expansion and returns ctx.Err() with the partial result.
 // opt.OnClosed switches to streaming emission in discovery order.
 func RunCHARM(ctx context.Context, d *Dataset, opt CharmOptions) (*CharmResult, error) {
 	if opt.OnClosed != nil {
@@ -149,8 +150,7 @@ func RunCHARM(ctx context.Context, d *Dataset, opt CharmOptions) (*CharmResult, 
 }
 
 // RunCLOSET mines all closed itemsets of d with the CLOSET-style FP-tree
-// miner — the canonical form of MineClosedFPTree. opt.OnClosed switches to
-// streaming emission in discovery order.
+// miner. opt.OnClosed switches to streaming emission in discovery order.
 func RunCLOSET(ctx context.Context, d *Dataset, opt ClosetOptions) (*ClosetResult, error) {
 	if opt.OnClosed != nil {
 		return closet.MineStream(ctx, d, opt, opt.OnClosed)
@@ -159,9 +159,10 @@ func RunCLOSET(ctx context.Context, d *Dataset, opt ClosetOptions) (*ClosetResul
 }
 
 // RunColumnE mines one representative rule per interesting rule group by
-// column enumeration — the canonical form of MineColumnE. opt.OnRule
-// switches to streaming emission; ColumnE's interestingness is a global
-// fixpoint, so rules are delivered during the finish phase.
+// column enumeration (Bayardo & Agrawal, KDD 1999 style) — the paper's
+// ColumnE baseline. opt.OnRule switches to streaming emission; ColumnE's
+// interestingness is a global fixpoint, so rules are delivered during the
+// finish phase.
 func RunColumnE(ctx context.Context, d *Dataset, consequent int, opt ColumnEOptions) (*ColumnEResult, error) {
 	if opt.OnRule != nil {
 		return columne.MineStream(ctx, d, consequent, opt, opt.OnRule)
@@ -169,9 +170,9 @@ func RunColumnE(ctx context.Context, d *Dataset, consequent int, opt ColumnEOpti
 	return columne.MineContext(ctx, d, consequent, opt)
 }
 
-// RunCARPENTER mines all closed itemsets of d by row enumeration — the
-// canonical form of MineClosedCARPENTER. opt.OnClosed switches to
-// streaming emission in discovery order.
+// RunCARPENTER mines all closed itemsets of d by row enumeration (Pan et
+// al., KDD 2003) — FARMER's class-blind predecessor. opt.OnClosed switches
+// to streaming emission in discovery order.
 func RunCARPENTER(ctx context.Context, d *Dataset, opt CarpenterOptions) (*CarpenterResult, error) {
 	if opt.OnClosed != nil {
 		return carpenter.MineStream(ctx, d, opt, opt.OnClosed)
@@ -180,8 +181,8 @@ func RunCARPENTER(ctx context.Context, d *Dataset, opt CarpenterOptions) (*Carpe
 }
 
 // RunCOBBLER mines all closed itemsets of d with COBBLER's dynamic
-// row/feature enumeration — the canonical form of MineClosedCOBBLER.
-// opt.OnClosed switches to streaming emission in discovery order.
+// row/feature enumeration (Pan et al., SSDBM 2004). opt.OnClosed switches
+// to streaming emission in discovery order.
 func RunCOBBLER(ctx context.Context, d *Dataset, opt CobblerOptions) (*CobblerResult, error) {
 	if opt.OnClosed != nil {
 		return cobbler.MineStream(ctx, d, opt, opt.OnClosed)
