@@ -51,8 +51,9 @@ smoke:
 	$(GO) test -count=1 -run TestFarmerdEndToEnd ./cmd/farmerd
 
 # Machine-readable core benchmarks (ns/op, allocs/op, B/op for Prepare,
-# SnapshotLoad, Mine, MineParallel and CHARM over the bench datasets, plus
-# the widened bitset kernels in isolation); CI archives the file.
+# SnapshotLoad, Mine, MineParallel and CHARM over the bench datasets,
+# prepared Mine on three paper-shape points (MinePaper), plus the widened
+# bitset kernels in isolation); CI archives the file.
 BENCH_JSON_DATASETS ?= BC,LC,CT,PC,ALL
 bench-json:
 	$(GO) run ./cmd/benchjson -datasets $(BENCH_JSON_DATASETS) -o BENCH_core.json

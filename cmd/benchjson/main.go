@@ -1,5 +1,6 @@
 // Command benchjson measures the hot mining entry points — Mine,
-// MineParallel at 1 and 2 workers, and CHARM — over the bench datasets
+// MineParallel at 1 and 2 workers, and CHARM — over the bench datasets,
+// plus prepared sequential FARMER on three paper-shape points (MinePaper),
 // with testing.Benchmark and writes the results as a JSON array (ns/op,
 // allocs/op, B/op, and an env block — nproc, GOMAXPROCS, Go version — on
 // every row), along with the two ways a service can obtain a prepared snapshot: Prepare
@@ -199,36 +200,92 @@ func run(datasets []string) ([]Row, error) {
 			}},
 		}
 		for _, bench := range benches {
-			fn := bench.fn
-			var failure error
-			res := testing.Benchmark(func(b *testing.B) {
-				b.ReportAllocs()
-				for i := 0; i < b.N; i++ {
-					if err := fn(); err != nil {
-						failure = err
-						b.FailNow()
-					}
-				}
-			})
-			if failure != nil {
-				return nil, fmt.Errorf("%s/%s: %w", bench.name, name, failure)
+			row, err := measure(bench.name, name, minsup, bench.workers, bench.fn)
+			if err != nil {
+				return nil, err
 			}
-			rows = append(rows, Row{
-				Name:        bench.name,
-				Dataset:     name,
-				MinSup:      minsup,
-				Iterations:  res.N,
-				NsPerOp:     float64(res.T.Nanoseconds()) / float64(res.N),
-				AllocsPerOp: res.AllocsPerOp(),
-				BytesPerOp:  res.AllocedBytesPerOp(),
-				Workers:     bench.workers,
-			})
-			fmt.Fprintf(os.Stderr, "%-14s %-4s minsup=%-3d %12.0f ns/op %8d allocs/op %10d B/op\n",
-				bench.name, name, minsup,
-				rows[len(rows)-1].NsPerOp, rows[len(rows)-1].AllocsPerOp, rows[len(rows)-1].BytesPerOp)
+			rows = append(rows, row)
 		}
 	}
+	paper, err := runPaper()
+	if err != nil {
+		return nil, err
+	}
+	rows = append(rows, paper...)
 	return append(rows, runBitset()...), nil
+}
+
+// measure benchmarks fn with testing.Benchmark and returns its row.
+func measure(name, dataset string, minsup, workers int, fn func() error) (Row, error) {
+	var failure error
+	res := testing.Benchmark(func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			if err := fn(); err != nil {
+				failure = err
+				b.FailNow()
+			}
+		}
+	})
+	if failure != nil {
+		return Row{}, fmt.Errorf("%s/%s: %w", name, dataset, failure)
+	}
+	row := Row{
+		Name:        name,
+		Dataset:     dataset,
+		MinSup:      minsup,
+		Iterations:  res.N,
+		NsPerOp:     float64(res.T.Nanoseconds()) / float64(res.N),
+		AllocsPerOp: res.AllocsPerOp(),
+		BytesPerOp:  res.AllocedBytesPerOp(),
+		Workers:     workers,
+	}
+	fmt.Fprintf(os.Stderr, "%-14s %-4s minsup=%-3d %12.0f ns/op %8d allocs/op %10d B/op\n",
+		name, dataset, minsup, row.NsPerOp, row.AllocsPerOp, row.BytesPerOp)
+	return row, nil
+}
+
+// paperPoints are the paper-tier MinePaper rows: sequential FARMER at
+// minconf 0.9 and minchi 10 on the full-shape synth.PaperSpecs (62–136
+// rows, unpermuted), at minsups that finish in tens of milliseconds.
+var paperPoints = []struct {
+	name   string
+	minsup int
+}{{"CT", 39}, {"ALL", 47}, {"PC", 52}}
+
+// runPaper measures the MinePaper rows. Each run reuses a prepared
+// snapshot whose consequent view is already built, so a row times the
+// search alone — the row dimension where FARMER's cost lives.
+func runPaper() ([]Row, error) {
+	var rows []Row
+	for _, pt := range paperPoints {
+		spec, ok := synth.PaperSpec(pt.name)
+		if !ok {
+			return nil, fmt.Errorf("no paper spec %q", pt.name)
+		}
+		d, err := spec.GenerateDiscrete(10)
+		if err != nil {
+			return nil, fmt.Errorf("generate %s: %w", pt.name, err)
+		}
+		snap, err := farmer.Prepare(d)
+		if err != nil {
+			return nil, err
+		}
+		opt := farmer.MineOptions{MinSup: pt.minsup, MinConf: 0.9, MinChi: 10, Prepared: snap}
+		mine := func() error {
+			_, err := farmer.RunFARMER(context.Background(), d, 0, opt)
+			return err
+		}
+		if err := mine(); err != nil { // builds the consequent view
+			return nil, fmt.Errorf("MinePaper/%s: %w", pt.name, err)
+		}
+		row, err := measure("MinePaper", pt.name, pt.minsup, 0, mine)
+		if err != nil {
+			return nil, err
+		}
+		rows = append(rows, row)
+	}
+	return rows, nil
 }
 
 // mineParallel returns a benchmark body running FARMER on the parallel

@@ -118,31 +118,23 @@ func MineStream(ctx context.Context, d *dataset.Dataset, opt Options, onClosed f
 	m := &miner{d: d, opt: opt, ex: ex, emit: onClosed, subsume: map[uint64][]ClosedSet{}}
 
 	setupDone := engine.Phase(&ex.Stats.Timings.Setup)
-	var nodes []itPair
+	// Root tidsets are per-item row bitsets, the snapshot's shared ones
+	// when there is a snapshot; the enumeration only reads them (children
+	// are arena intersections, emission clones), so sharing across
+	// concurrent runs is safe.
+	var itemRows []*bitset.Set
 	if snap != nil {
-		// Root tidsets come from the snapshot's shared bitsets; the
-		// enumeration only reads them (children are arena intersections,
-		// emission clones), so sharing across concurrent runs is safe.
 		ex.Stats.PrepareReused++
-		for it, rows := range snap.ItemRows() {
-			if rows == nil || rows.Count() < opt.MinSup {
-				continue
-			}
-			nodes = append(nodes, itPair{items: []dataset.Item{dataset.Item(it)}, tids: rows})
-		}
+		itemRows = snap.ItemRows()
 	} else {
-		tt := dataset.Transpose(d)
-		n := len(d.Rows)
-		for it, list := range tt.Lists {
-			if len(list) < opt.MinSup {
-				continue
-			}
-			tid := bitset.New(n)
-			for _, r := range list {
-				tid.Set(int(r))
-			}
-			nodes = append(nodes, itPair{items: []dataset.Item{dataset.Item(it)}, tids: tid})
+		itemRows = dataset.Transpose(d).RowSets()
+	}
+	var nodes []itPair
+	for it, rows := range itemRows {
+		if rows.Count() < opt.MinSup {
+			continue
 		}
+		nodes = append(nodes, itPair{items: []dataset.Item{dataset.Item(it)}, tids: rows})
 	}
 	// Process in increasing support order (the f ordering of the paper).
 	sort.SliceStable(nodes, func(i, j int) bool {

@@ -162,31 +162,23 @@ func MineStream(ctx context.Context, d *dataset.Dataset, consequent int, opt Opt
 	}
 
 	// Frequent single items by positive support, ascending-support order.
-	var singles []extension
+	// Singleton tidsets are per-item row bitsets, the snapshot's shared
+	// ones when there is a snapshot; the enumeration only intersects into
+	// scratch and clones on record, so sharing across concurrent runs is
+	// safe.
+	var itemRows []*bitset.Set
 	if snap != nil {
-		// Singleton tidsets are the snapshot's shared per-item bitsets;
-		// the enumeration only intersects into scratch and clones on
-		// record, so sharing across concurrent runs is safe.
 		ex.Stats.PrepareReused++
-		for it, rows := range snap.ItemRows() {
-			if rows == nil || rows.AndCount(posMask) < opt.MinSup {
-				continue
-			}
-			singles = append(singles, extension{item: dataset.Item(it), tids: rows})
-		}
+		itemRows = snap.ItemRows()
 	} else {
-		tt := dataset.Transpose(d)
-		for it, list := range tt.Lists {
-			tid := bitset.New(n)
-			for _, r := range list {
-				tid.Set(int(r))
-			}
-			pos := tid.AndCount(posMask)
-			if pos < opt.MinSup {
-				continue
-			}
-			singles = append(singles, extension{item: dataset.Item(it), tids: tid})
+		itemRows = dataset.Transpose(d).RowSets()
+	}
+	var singles []extension
+	for it, rows := range itemRows {
+		if rows.AndCount(posMask) < opt.MinSup {
+			continue
 		}
+		singles = append(singles, extension{item: dataset.Item(it), tids: rows})
 	}
 	sort.Slice(singles, func(i, j int) bool {
 		si, sj := singles[i].tids.Count(), singles[j].tids.Count()

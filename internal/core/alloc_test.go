@@ -12,8 +12,8 @@ import (
 // grown the arena to its high-water size and populated the group store, a
 // second traversal of the same tree re-discovers every group (maybeEmit's
 // equal-row-set check returns early) and pushes every per-node buffer —
-// cleaned lists, count arrays, child conditional tables — onto the warmed
-// arena. Any make() left on the mineNode hot path shows up here.
+// candidate lists, count arrays, child conditional tables — onto the
+// warmed arena. Any make() left on the mineNode hot path shows up here.
 func TestMineNodeSteadyStateZeroAllocs(t *testing.T) {
 	datasets := map[string]*dataset.Dataset{
 		"paper":  dataset.PaperExample(),

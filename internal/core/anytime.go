@@ -80,13 +80,12 @@ func ParseStrategy(name string) (Strategy, error) {
 // depth-first walk — whose conditional tables live on the arena and die on
 // unwind — a frontier task outlives its parent's expansion arbitrarily, so
 // everything it references must survive off the arena. Tasks are lazy: a
-// child enqueued by expand carries only its parent's cleaned conditional
-// table (ptuples, heap-retained and shared by all siblings) and the branch
-// row to descend to; its own table is derived at pop time as suffix views
-// into the shared storage. A task pruned at pop — the common fate once the
-// admission threshold rises — therefore costs nothing beyond its struct.
-// Root tasks are built eagerly: their row lists are views into the
-// transposed table's global lists, which are immutable for the run.
+// child enqueued by expand carries only its parent's conditional table
+// (pitems, heap-retained and shared by all siblings), its parent's path
+// and the branch row to descend to; its own table is derived at pop time.
+// A task pruned at pop — the common fate once the admission threshold
+// rises — therefore costs nothing beyond its struct. A root task's table
+// is its row's item list, immutable for the run.
 type anytimeTask struct {
 	// bound is the convex vertex bound computed from the node's identified
 	// counts at enqueue time: a sound upper bound on every score in the
@@ -97,13 +96,11 @@ type anytimeTask struct {
 	// sequential run pops equal-bound tasks in a deterministic order.
 	seq uint64
 
-	// tuples is the node's materialized conditional table (roots only);
-	// nil marks a lazy task, whose table is derived from ptuples at pop.
-	tuples []tuple
-	// ptuples is the parent's cleaned conditional table, shared by every
-	// sibling. A chain of absorption-free descents shares storage all the
-	// way back to the transposed table's global lists.
-	ptuples []tuple
+	// items is the node's conditional table (roots only); nil marks a
+	// lazy task, whose table is derived from pitems at pop.
+	items []dataset.Item
+	// pitems is the parent's conditional table, shared by every sibling.
+	pitems []dataset.Item
 	// row is the explicitly chosen row this task descends to — the lazy
 	// materialization key, the back-scan anchor (chosen rows only grow
 	// down a path), and the last element of the node's path.
@@ -116,37 +113,19 @@ type anytimeTask struct {
 	epCount  int // positive enumeration candidates remaining
 }
 
-// searchRow is an inlined binary search for the first index with
-// rows[i] >= r — sort.Search without the closure dispatch, which shows up
-// at profile scale when every pop runs one search per parent tuple.
-func searchRow(rows []int32, r int32) int {
-	lo, hi := 0, len(rows)
-	for lo < hi {
-		mid := int(uint(lo+hi) >> 1)
-		if rows[mid] < r {
-			lo = mid + 1
-		} else {
-			hi = mid
+// childItems appends to dst the conditional table of the child reached by
+// descending from a parent table to its candidate row r: the parent items
+// whose tuples hold r (Lemma 3.3). A parent tuple is its item's global row
+// set restricted to the parent's candidates, and r is one of them, so
+// membership is one word test.
+func (m *miner) childItems(dst, parent []dataset.Item, r int32) []dataset.Item {
+	wi, bit := int(r>>6), uint64(1)<<(uint(r)&63)
+	for _, it := range parent {
+		if m.tt.ItemWords(it)[wi]&bit != 0 {
+			dst = append(dst, it)
 		}
 	}
-	return lo
-}
-
-// materializeChild derives the conditional table of the child reached by
-// descending from a parent table to row r: every parent tuple whose rows
-// contain r keeps the suffix after r, as views into the parent's storage —
-// no row copying, the parent table is immutable and heap-retained by the
-// task that references it.
-func materializeChild(parent []tuple, r int32) []tuple {
-	out := make([]tuple, 0, len(parent))
-	for i := range parent {
-		rows := parent[i].Rows
-		k := searchRow(rows, r)
-		if k < len(rows) && rows[k] == r {
-			out = append(out, tuple{Item: parent[i].Item, Rows: rows[k+1:]})
-		}
-	}
-	return out
+	return dst
 }
 
 // taskHeap is a max-heap on bound. Shallow nodes tie at near-maximal
@@ -373,11 +352,11 @@ func (s *anytimeSearch) expand(m *miner, t *anytimeTask) (*anytimeTask, error) {
 	if err := m.ex.EnterNode(); err != nil {
 		return nil, err
 	}
-	tuples := t.tuples
-	if tuples == nil {
-		tuples = materializeChild(t.ptuples, t.row)
+	items := t.items
+	if items == nil {
+		items = m.childItems(make([]dataset.Item, 0, len(t.pitems)), t.pitems, t.row)
 	}
-	if len(tuples) == 0 {
+	if len(items) == 0 {
 		return nil, nil
 	}
 	for _, r := range t.basePath {
@@ -390,7 +369,7 @@ func (s *anytimeSearch) expand(m *miner, t *anytimeTask) (*anytimeTask, error) {
 		}
 		m.sc.InX.Clear(int(t.row))
 	}()
-	if m.backScanHit(tuples, int(t.row)) {
+	if m.backScanHit(items, int(t.row)) {
 		m.ex.Stats.PrunedBackScan++
 		return nil, nil
 	}
@@ -402,7 +381,7 @@ func (s *anytimeSearch) expand(m *miner, t *anytimeTask) (*anytimeTask, error) {
 	mark := m.sc.A.Mark()
 	defer m.sc.A.Release(mark)
 
-	sc := scanNode(m, tuples, t.supp, t.supn)
+	sc := m.scanNode(items, int(t.row), t.supp, t.supn, true)
 	supp, supn := sc.supp, sc.supn
 	if sc.suppIn+sc.maxPos < s.minsup {
 		m.ex.Stats.PrunedTightBound++
@@ -428,13 +407,8 @@ func (s *anytimeSearch) expand(m *miner, t *anytimeTask) (*anytimeTask, error) {
 
 	if supp >= s.minsup {
 		score := s.valueAt(supp, supn)
-		items := make([]dataset.Item, len(tuples))
-		for i, tp := range tuples {
-			items[i] = tp.Item
-		}
-		slices.Sort(items)
 		s.mu.Lock()
-		s.admitLocked(m.ex, m, items, score, supp, supn)
+		s.admitLocked(m.ex, m, slices.Clone(items), score, supp, supn)
 		s.mu.Unlock()
 	}
 
@@ -444,8 +418,8 @@ func (s *anytimeSearch) expand(m *miner, t *anytimeTask) (*anytimeTask, error) {
 
 	// Children: the same enumeration the exact walk performs, enqueued
 	// lazily. No per-child table is built here — each surviving child
-	// carries a reference to this node's cleaned table plus its branch
-	// row, and derives its own table only if it is actually popped. The
+	// carries a reference to this node's table plus its branch row, and
+	// derives its own table only if it is actually popped. The
 	// pre-enqueue bound check against a snapshot of the k-th score drops
 	// children that can never be admitted (the threshold only rises),
 	// exactly as pruneBoundLocked would at enqueue; delta-relaxed cuts
@@ -464,14 +438,7 @@ func (s *anytimeSearch) expand(m *miner, t *anytimeTask) (*anytimeTask, error) {
 
 	taskSlab := make([]anytimeTask, 0, nch)
 	for p, r := range eRows {
-		ca, cb := supp, supn
-		childEp := 0
-		if int(r) < s.numPos {
-			ca++
-			childEp = posBoundary - p - 1
-		} else {
-			cb++
-		}
+		ca, cb, childEp := m.childCounts(supp, supn, r, p, posBoundary)
 		if ca+childEp < s.minsup {
 			m.ex.Stats.PrunedLooseBound++
 			continue
@@ -493,33 +460,15 @@ func (s *anytimeSearch) expand(m *miner, t *anytimeTask) (*anytimeTask, error) {
 		return nil, nil
 	}
 
-	// The children's shared parent table must outlive this expansion's
-	// arena mark. When absorption shrank the lists, the cleaned table is
-	// copied off the arena once, for all siblings together; otherwise the
-	// node's own table — already heap-held (or a view into the transposed
-	// table's global lists) — is shared as is, copying nothing.
-	childBase := tuples
-	if len(sc.yRows) > 0 {
-		total := 0
-		for i := range sc.cleaned {
-			total += len(sc.cleaned[i])
-		}
-		backing := make([]int32, total)
-		childBase = make([]tuple, len(sc.cleaned))
-		w := 0
-		for i := range sc.cleaned {
-			n := copy(backing[w:], sc.cleaned[i])
-			childBase[i] = tuple{Item: tuples[i].Item, Rows: backing[w : w+n : w+n]}
-			w += n
-		}
-	}
-
+	// The node's table — heap-held, or a root row's item list — is the
+	// children's shared parent table as is; the absorbed rows travel in
+	// the path.
 	basePath := make([]int32, 0, len(t.basePath)+1+len(sc.yRows))
 	basePath = append(basePath, t.basePath...)
 	basePath = append(basePath, t.row)
 	basePath = append(basePath, sc.yRows...)
 	for i := range taskSlab {
-		taskSlab[i].ptuples = childBase
+		taskSlab[i].pitems = items
 		taskSlab[i].basePath = basePath
 	}
 	// The highest-bound child continues the dive; its siblings join the
@@ -538,107 +487,6 @@ func (s *anytimeSearch) expand(m *miner, t *anytimeTask) (*anytimeTask, error) {
 	}
 	s.mu.Unlock()
 	return &taskSlab[dive], nil
-}
-
-// nodeScan is the outcome of scanNode: steps 3–5 of the conditional-table
-// expansion (occurrence counts, U/Y classification, absorption, cleaned
-// candidate lists), shared by the best-first expansion and the sampler's
-// walk steps. Everything it references lives on the worker's arena inside
-// the caller's mark.
-type nodeScan struct {
-	eRows, yRows []int32
-	cleaned      [][]int32
-	supp, supn   int // identified counts after Y absorption
-	suppIn       int // pre-absorption positive count, for the Us1 bound
-	maxPos       int // per-tuple positive-candidate maximum
-}
-
-func scanNode(m *miner, tuples []tuple, supp, supn int) nodeScan {
-	ep := m.sc.NextEpoch()
-	cnt, stamp := m.sc.Cnt, m.sc.Stamp
-	ntup := int32(len(tuples))
-	maxPosInTuple := 0
-	distinct := 0
-	for _, tp := range tuples {
-		if len(tp.Rows) == 0 {
-			continue
-		}
-		if pos := searchRow(tp.Rows, int32(m.numPos)); pos > maxPosInTuple {
-			maxPosInTuple = pos
-		}
-		for _, r := range tp.Rows {
-			if stamp[r] != ep {
-				stamp[r] = ep
-				cnt[r] = 0
-				distinct++
-			}
-			cnt[r]++
-		}
-	}
-	union := m.sc.A.I32.Alloc(distinct)
-	ne, ny := 0, 0
-	yPos, yNeg := 0, 0
-	for _, tp := range tuples {
-		for _, r := range tp.Rows {
-			if stamp[r] != ep || cnt[r] < 0 {
-				continue
-			}
-			if cnt[r] == ntup {
-				ny++
-				union[distinct-ny] = r
-				if int(r) < m.numPos {
-					yPos++
-				} else {
-					yNeg++
-				}
-			} else {
-				union[ne] = r
-				ne++
-			}
-			cnt[r] = -1
-		}
-	}
-	eRows, yRows := union[:ne], union[ne:]
-	slices.Sort(eRows)
-
-	cleaned := m.sc.A.Rows.Alloc(len(tuples))
-	if len(yRows) == 0 {
-		for i := range tuples {
-			cleaned[i] = tuples[i].Rows
-		}
-	} else {
-		slices.Sort(yRows)
-		total := 0
-		for i := range tuples {
-			total += len(tuples[i].Rows) - len(yRows) // Y is in every tuple
-		}
-		backing := m.sc.A.I32.Alloc(total)
-		w := 0
-		for i := range tuples {
-			start := w
-			yi := 0
-			for _, r := range tuples[i].Rows {
-				for yi < len(yRows) && yRows[yi] < r {
-					yi++
-				}
-				if yi < len(yRows) && yRows[yi] == r {
-					continue
-				}
-				backing[w] = r
-				w++
-			}
-			cleaned[i] = backing[start:w:w]
-		}
-	}
-	return nodeScan{
-		eRows:   eRows,
-		yRows:   yRows,
-		cleaned: cleaned,
-		supp:    supp + yPos,
-		supn:    supn + yNeg,
-		suppIn:  supp,
-		maxPos:  maxPosInTuple,
-	}
 }
 
 // worker drains the frontier until it is empty (with no expansion in
@@ -817,7 +665,7 @@ func topKAnytime(ctx context.Context, d *dataset.Dataset, consequent int, opt To
 		if strat == StrategySample {
 			s.sample(miners[0], opt.Seed)
 		} else {
-			s.seedRoots(miners[0], ordered, tt)
+			s.seedRoots(miners[0])
 			if workers == 1 {
 				s.worker(0, miners[0])
 			} else {
@@ -868,35 +716,18 @@ func topKAnytime(ctx context.Context, d *dataset.Dataset, consequent int, opt To
 	return res, s.stopErr
 }
 
-// seedRoots enqueues one task per root row {ri}, in ORD order. Root tuple
-// rows are views into the transposed table's global lists (immutable for
-// the run), so roots cost no copies.
-func (s *anytimeSearch) seedRoots(m *miner, ordered *dataset.Dataset, tt *dataset.Transposed) {
+// seedRoots enqueues one task per root row {ri}, in ORD order. A root's
+// table is its row's item list, so roots cost no copies.
+func (s *anytimeSearch) seedRoots(m *miner) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	for ri := 0; ri < s.n; ri++ {
-		row := &ordered.Rows[ri]
-		tuples := make([]tuple, len(row.Items))
-		for i, it := range row.Items {
-			list := tt.Lists[it]
-			k := sort.Search(len(list), func(j int) bool { return list[j] > int32(ri) })
-			tuples[i] = tuple{Item: it, Rows: list[k:]}
-		}
-		supp, supn := 0, 0
-		if ri < s.numPos {
-			supp = 1
-		} else {
-			supn = 1
-		}
-		epCount := s.numPos - ri - 1
-		if epCount < 0 {
-			epCount = 0
-		}
+		supp, supn, epCount := m.rootCounts(ri)
 		s.seq++
 		heap.Push(&s.frontier, &anytimeTask{
 			bound:   s.boundAt(supp, supn),
 			seq:     s.seq,
-			tuples:  tuples,
+			items:   m.ds.Rows[ri].Items,
 			row:     int32(ri),
 			supp:    supp,
 			supn:    supn,
@@ -967,31 +798,22 @@ func (s *anytimeSearch) sampleWalk(m *miner, rng *rand.Rand) error {
 		}
 	}()
 
-	tuples := m.rootTuples(ri)
-	supp, supn := 0, 0
-	if ri < s.numPos {
-		supp = 1
-	} else {
-		supn = 1
-	}
-	epCount := s.numPos - ri - 1
-	if epCount < 0 {
-		epCount = 0
-	}
+	items, row := m.ds.Rows[ri].Items, int32(ri)
+	supp, supn, epCount := m.rootCounts(ri)
 	m.sc.InX.Set(ri)
-	setRows = append(setRows, int32(ri))
+	setRows = append(setRows, row)
 
 	for {
 		if err := m.ex.EnterNode(); err != nil {
 			return err
 		}
-		if len(tuples) == 0 {
+		if len(items) == 0 {
 			return nil
 		}
 		if supp+epCount < s.minsup {
 			return nil
 		}
-		sc := scanNode(m, tuples, supp, supn)
+		sc := m.scanNode(items, int(row), supp, supn, true)
 		supp, supn = sc.supp, sc.supn
 		for _, r := range sc.yRows {
 			m.sc.InX.Set(int(r))
@@ -999,13 +821,8 @@ func (s *anytimeSearch) sampleWalk(m *miner, rng *rand.Rand) error {
 		}
 		if supp >= s.minsup {
 			score := s.valueAt(supp, supn)
-			items := make([]dataset.Item, len(tuples))
-			for i, tp := range tuples {
-				items[i] = tp.Item
-			}
-			slices.Sort(items)
 			s.mu.Lock()
-			s.admitLocked(m.ex, m, items, score, supp, supn)
+			s.admitLocked(m.ex, m, slices.Clone(items), score, supp, supn)
 			s.mu.Unlock()
 		}
 		if len(sc.eRows) == 0 {
@@ -1014,19 +831,12 @@ func (s *anytimeSearch) sampleWalk(m *miner, rng *rand.Rand) error {
 
 		// Pick the next row among feasible candidates, weighted by the
 		// child bound.
-		posBoundary := sort.Search(len(sc.eRows), func(i int) bool { return sc.eRows[i] >= int32(s.numPos) })
+		posBoundary := searchRow(sc.eRows, int32(s.numPos))
 		totalW := 0.0
 		feasible := 0
 		bounds := make([]float64, len(sc.eRows))
 		for p, r := range sc.eRows {
-			ca, cb := supp, supn
-			childEp := 0
-			if int(r) < s.numPos {
-				ca++
-				childEp = posBoundary - p - 1
-			} else {
-				cb++
-			}
+			ca, cb, childEp := m.childCounts(supp, supn, r, p, posBoundary)
 			if ca+childEp < s.minsup {
 				bounds[p] = -1
 				continue
@@ -1069,33 +879,10 @@ func (s *anytimeSearch) sampleWalk(m *miner, rng *rand.Rand) error {
 		r := sc.eRows[pick]
 
 		// Build the chosen child's conditional table on the arena.
-		nt := 0
-		for ti := range sc.cleaned {
-			rows := sc.cleaned[ti]
-			kk := sort.Search(len(rows), func(j int) bool { return rows[j] >= r })
-			if kk < len(rows) && rows[kk] == r {
-				nt++
-			}
-		}
-		child := m.sc.A.Tup.Alloc(nt)
-		w := 0
-		for ti := range sc.cleaned {
-			rows := sc.cleaned[ti]
-			kk := sort.Search(len(rows), func(j int) bool { return rows[j] >= r })
-			if kk < len(rows) && rows[kk] == r {
-				child[w] = tuple{Item: tuples[ti].Item, Rows: rows[kk+1:]}
-				w++
-			}
-		}
-		if int(r) < s.numPos {
-			supp++
-			epCount = posBoundary - pick - 1
-		} else {
-			supn++
-			epCount = 0
-		}
+		items = m.childItems(m.sc.A.I32.Alloc(len(items))[:0], items, r)
+		row = r
+		supp, supn, epCount = m.childCounts(supp, supn, r, pick, posBoundary)
 		m.sc.InX.Set(int(r))
 		setRows = append(setRows, r)
-		tuples = child
 	}
 }

@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"fmt"
+	"math/bits"
 	"slices"
 	"sort"
 
@@ -98,11 +99,13 @@ func (m *miner) materialize(e *irgEntry, ord *dataset.Ordering) RuleGroup {
 	return g
 }
 
-// tuple is one row of a conditional transposed table: an item together with
-// the enumeration-candidate rows it contains at the current node. The Rows
-// slice is a view into an ancestor's storage and is never mutated. It is
-// the engine's shared Tuple so conditional tables live on the engine arena.
-type tuple = engine.Tuple
+// A node's conditional transposed table is the list of its items, in the
+// root row's ascending order (so a copy is the node's antecedent I(X)). Each item's tuple — its candidate rows at the
+// node — is never materialized: it is the item's global row set
+// (dataset.Transposed.Words) restricted to the node's candidates, the rows
+// after the last chosen row that are not on the path (m.sc.InX). Absorbing
+// Y into the path therefore cleans every tuple at once, and the node scan,
+// back scan and child build are all word operations.
 
 type miner struct {
 	ds     *dataset.Dataset
@@ -116,11 +119,14 @@ type miner struct {
 	ex *engine.Exec
 
 	// sc is the engine scratch substrate. sc.InX marks rows in X ∪ Yacc
-	// along the current path: the exclusion set of the back scan and, at
-	// step 7, exactly R(I(X)) (see DESIGN.md). sc.Cnt/sc.Stamp are the
-	// epoch-stamped per-row counters shared by the candidate scan and the
-	// back scan; each pass bumps the epoch instead of clearing.
+	// along the current path: the rows excluded from every tuple and, at
+	// step 7, exactly R(I(X)) (see DESIGN.md). sc.RowWords are the word
+	// buffers of the node scan, back scan and child build.
 	sc *engine.Scratch
+
+	// posWords is the row set [0, numPos) — the consequent-class rows — as
+	// words.
+	posWords []uint64
 
 	// recordRejected makes maybeEmit retain the row set of every group the
 	// local interestingness filter drops. MineParallel's worker filters are
@@ -153,14 +159,19 @@ func newMiner(d *dataset.Dataset, numPos int, opt Options, ex *engine.Exec, tt *
 	if tt == nil {
 		tt = dataset.Transpose(d)
 	}
+	pos := bitset.New(n)
+	for r := 0; r < numPos; r++ {
+		pos.Set(r)
+	}
 	return &miner{
-		ds:     d,
-		tt:     tt,
-		numPos: numPos,
-		n:      n,
-		opt:    opt,
-		ex:     ex,
-		sc:     engine.NewScratch(n),
+		ds:       d,
+		tt:       tt,
+		numPos:   numPos,
+		n:        n,
+		opt:      opt,
+		ex:       ex,
+		sc:       engine.NewScratch(n),
+		posWords: pos.Words(),
 	}
 }
 
@@ -193,19 +204,48 @@ func resolveView(d *dataset.Dataset, consequent int, snap *dataset.Snapshot, ex 
 	return v.Ordered, v.Ord, v.TT, nil
 }
 
-// rootTuples builds the conditional transposed table of root node {ri}: one
-// tuple per item of row ri, with the item's global occurrences after ri as
-// candidates. The table lives on the arena; the caller owns the enclosing
-// mark.
-func (m *miner) rootTuples(ri int) []tuple {
-	row := &m.ds.Rows[ri]
-	tuples := m.sc.A.Tup.Alloc(len(row.Items))
-	for i, it := range row.Items {
-		list := m.tt.Lists[it]
-		k := sort.Search(len(list), func(i int) bool { return list[i] > int32(ri) })
-		tuples[i] = tuple{Item: it, Rows: list[k:]}
+// rootCounts returns the identified counts and the positive-candidate
+// count of root node {ri}.
+func (m *miner) rootCounts(ri int) (supp, supn, epCount int) {
+	if ri < m.numPos {
+		return 1, 0, m.numPos - ri - 1
 	}
-	return tuples
+	return 0, 1, 0
+}
+
+// searchRow is an inlined binary search for the first index with
+// rows[i] >= r — sort.Search without the closure dispatch.
+func searchRow(rows []int32, r int32) int {
+	lo, hi := 0, len(rows)
+	for lo < hi {
+		mid := int(uint(lo+hi) >> 1)
+		if rows[mid] < r {
+			lo = mid + 1
+		} else {
+			hi = mid
+		}
+	}
+	return lo
+}
+
+// appendRows appends the rows of the word set w to dst, ascending.
+func appendRows(dst []int32, w []uint64) []int32 {
+	for i, x := range w {
+		for x != 0 {
+			dst = append(dst, int32(i<<6+bits.TrailingZeros64(x)))
+			x &= x - 1
+		}
+	}
+	return dst
+}
+
+// popcount returns the number of rows in the word set w.
+func popcount(w []uint64) int {
+	c := 0
+	for _, x := range w {
+		c += bits.OnesCount64(x)
+	}
+	return c
 }
 
 // run enumerates the children of the (virtual) root: one node per row, in
@@ -224,33 +264,20 @@ func (m *miner) run() error {
 
 // mineSpan mines the depth-2 subtasks (r1, r2) for r2 ∈ [lo, hi) of root
 // node {r1}: it opens the root exactly as the sequential traversal does
-// (back scan, bounds, Y absorption, cleaned table), then expands only the
-// children r2 ∈ E'(r1) ∩ [lo, hi), each built from the root's cleaned
-// table. The span that owns the singleton subtask (lo == r1) is the one
+// (back scan, bounds, Y absorption), then expands only the children
+// r2 ∈ E'(r1) ∩ [lo, hi). The span that owns the singleton subtask (lo == r1) is the one
 // that counts the root's own events and runs its step 7; any other span
 // replays the root silently. The spans of one root therefore partition
 // exactly the subtree Mine expands below {r1}, and mineSpan(r1, r1, n) is
 // that whole subtree.
 func (m *miner) mineSpan(r1, lo, hi int) error {
-	mark := m.sc.A.Mark()
-	defer m.sc.A.Release(mark)
-	tuples := m.rootTuples(r1)
-	supp, supn := 0, 0
-	if r1 < m.numPos {
-		supp = 1
-	} else {
-		supn = 1
-	}
-	epCount := m.numPos - r1 - 1 // positive candidates after r1
-	if epCount < 0 {
-		epCount = 0
-	}
+	supp, supn, epCount := m.rootCounts(r1)
 	m.sc.InX.Set(r1)
 	defer m.sc.InX.Clear(r1)
 
 	owner := lo == r1
 	saved := m.ex.Stats.Counters
-	nd, ok, err := m.open(tuples, supp, supn, epCount, r1)
+	nd, ok, err := m.open(m.ds.Rows[r1].Items, supp, supn, epCount, r1)
 	if !owner {
 		m.ex.Stats.Counters = saved
 		nd.emitOK = false
@@ -263,13 +290,13 @@ func (m *miner) mineSpan(r1, lo, hi int) error {
 
 // mineNode is MineIRGs of Figure 5 for the node whose row combination is
 // recorded in m.sc.InX (X plus rows absorbed by pruning 1 on the path).
-// tuples is the X-conditional transposed table, supp/supn the counts of
+// items is the X-conditional transposed table, supp/supn the counts of
 // identified rows containing I(X)∪C and I(X)∪¬C, epCount the number of
 // positive enumeration candidates, and rmax the largest explicitly chosen
 // row id. A non-nil error aborts the whole traversal (cancellation or a
 // failed emission callback).
-func (m *miner) mineNode(tuples []tuple, supp, supn, epCount int, rmax int) error {
-	nd, ok, err := m.open(tuples, supp, supn, epCount, rmax)
+func (m *miner) mineNode(items []dataset.Item, supp, supn, epCount int, rmax int) error {
+	nd, ok, err := m.open(items, supp, supn, epCount, rmax)
 	if !ok {
 		return err
 	}
@@ -277,33 +304,30 @@ func (m *miner) mineNode(tuples []tuple, supp, supn, epCount int, rmax int) erro
 }
 
 // node is an opened enumeration node between its open and close: the
-// X-conditional table, its Y-cleaned candidate lists, the candidate rows
-// E' and absorbed rows Y, and the identified-row counts after absorption.
-// Its buffers live on the arena above mark.
+// X-conditional table and its scan (candidate rows E', absorbed rows Y and
+// the identified-row counts after absorption). Its buffers live on the
+// arena above mark.
 type node struct {
-	tuples     []tuple
-	cleaned    [][]int32
-	eRows      []int32
-	yRows      []int32
-	supp, supn int
-	emitOK     bool
-	mark       engine.ArenaMark
+	nodeScan
+	items  []dataset.Item
+	emitOK bool
+	mark   engine.ArenaMark
 }
 
 // open runs steps 1–5 of Figure 5 on a node. ok=false means the node was
 // pruned (or is empty, or err is non-nil) and needs no close; otherwise Y
 // has been absorbed into m.sc.InX and the caller must close the node.
-func (m *miner) open(tuples []tuple, supp, supn, epCount int, rmax int) (nd node, ok bool, err error) {
+func (m *miner) open(items []dataset.Item, supp, supn, epCount int, rmax int) (nd node, ok bool, err error) {
 	if err := m.ex.EnterNode(); err != nil {
 		return nd, false, err
 	}
-	if len(tuples) == 0 {
+	if len(items) == 0 {
 		return nd, false, nil // I(X) = ∅: no rule here and no deeper candidates
 	}
 
 	// Step 1 — pruning strategy 2 (back scan, Lemma 3.6).
 	emitOK := true
-	if m.backScanHit(tuples, rmax) {
+	if m.backScanHit(items, rmax) {
 		if !m.opt.DisablePruning2 {
 			m.ex.Stats.PrunedBackScan++
 			return nd, false, nil
@@ -332,124 +356,100 @@ func (m *miner) open(tuples []tuple, supp, supn, epCount int, rmax int) (nd node
 	// Everything from here on allocates on the arena and pops at close.
 	mark := m.sc.A.Mark()
 
-	// Step 3 — scan the conditional table: per-candidate occurrence counts,
-	// the U set (rows in ≥1 tuple), the Y set (rows in every tuple), and
-	// the per-tuple positive-candidate maximum for Us1.
-	ep := m.sc.NextEpoch()
-	cnt, stamp := m.sc.Cnt, m.sc.Stamp
-	ntup := int32(len(tuples))
-	maxPosInTuple := 0
-	distinct := 0
-	for _, t := range tuples {
-		if len(t.Rows) == 0 {
-			continue
-		}
-		// Candidates are sorted with positives (< numPos) first.
-		if pos := sort.Search(len(t.Rows), func(i int) bool { return t.Rows[i] >= int32(m.numPos) }); pos > maxPosInTuple {
-			maxPosInTuple = pos
-		}
-		for _, r := range t.Rows {
-			if stamp[r] != ep {
-				stamp[r] = ep
-				cnt[r] = 0
-				distinct++
-			}
-			cnt[r]++
-		}
+	// Step 3 — scan the conditional table. With pruning 1 disabled, rows
+	// in every tuple stay ordinary candidates, the node's counts exclude
+	// them, and the node must not emit: its row set is not closed, and
+	// the fully explicit descendant will report the group.
+	sc := m.scanNode(items, rmax, supp, supn, !m.opt.DisablePruning1)
+	if sc.inAll {
+		emitOK = false
 	}
-
-	// Classify the union U into Y (in every tuple) and E' = U − Y, packed
-	// into one arena buffer: E' grows from the front, Y from the back.
-	// With pruning 1 disabled, Y rows stay ordinary candidates, the node's
-	// counts exclude them, and the node must not emit: its row set is not
-	// closed, and the fully explicit descendant will report the group.
-	union := m.sc.A.I32.Alloc(distinct)
-	ne, ny := 0, 0
-	yPos, yNeg := 0, 0
-	for _, t := range tuples {
-		for _, r := range t.Rows {
-			if stamp[r] != ep || cnt[r] < 0 {
-				continue // already classified
-			}
-			if cnt[r] == ntup {
-				if m.opt.DisablePruning1 {
-					emitOK = false
-					union[ne] = r
-					ne++
-				} else {
-					ny++
-					union[distinct-ny] = r
-					if int(r) < m.numPos {
-						yPos++
-					} else {
-						yNeg++
-					}
-				}
-			} else {
-				union[ne] = r
-				ne++
-			}
-			cnt[r] = -1 // classified
-		}
-	}
-	eRows, yRows := union[:ne], union[ne:]
-	slices.Sort(eRows)
-
-	m.ex.Stats.RowsAbsorbed += int64(len(yRows))
-	suppIn := supp // γ'.sup plus this node's chosen row, per the Us1 formula
-	supp += yPos
-	supn += yNeg
+	m.ex.Stats.RowsAbsorbed += int64(len(sc.yRows))
 
 	// Step 4 — pruning strategy 3, tight bounds (after scanning).
-	if !m.opt.DisablePruning3 && m.tightBoundPrunes(suppIn+maxPosInTuple, supp, supn) {
+	if !m.opt.DisablePruning3 && m.tightBoundPrunes(sc.suppIn+sc.maxPos, sc.supp, sc.supn) {
 		m.sc.A.Release(mark)
 		return nd, false, nil
 	}
 
-	// Step 5 — pruning strategy 1: absorb Y into the node's row set and
-	// drop it from every tuple's candidate list (Lemma 3.5).
-	for _, r := range yRows {
+	// Step 5 — pruning strategy 1: absorb Y into the node's row set, which
+	// drops it from every tuple's candidates (Lemma 3.5).
+	for _, r := range sc.yRows {
 		m.sc.InX.Set(int(r))
 	}
-	cleaned := m.sc.A.Rows.Alloc(len(tuples))
-	if len(yRows) == 0 {
-		for i := range tuples {
-			cleaned[i] = tuples[i].Rows
+	return node{nodeScan: sc, items: items, emitOK: emitOK, mark: mark}, true, nil
+}
+
+// nodeScan is the outcome of scanNode: step 3 of Figure 5 over a node's
+// conditional table.
+type nodeScan struct {
+	eRows []int32 // E': candidates in some but not every tuple, ascending
+	yRows []int32 // Y: candidates in every tuple, ascending (absorbed)
+	supp  int     // identified positive rows after absorbing Y
+	supn  int     // identified negative rows after absorbing Y
+	// suppIn is the positive count before absorption and maxPos the
+	// largest per-tuple positive-candidate count: suppIn+maxPos is Us1.
+	suppIn, maxPos int
+	// inAll reports, when absorption is off, that some candidate was in
+	// every tuple (it stayed in eRows).
+	inAll bool
+}
+
+// scanNode is step 3 of Figure 5, the one table scan behind Mine, the
+// top-k walk and the anytime searches, for the node whose last chosen row
+// is rmax. Per item it takes the tuple — the item's row words masked to
+// the node's candidates, the rows after rmax off the path — and
+// accumulates the U set (rows in ≥1 tuple), the Y set (rows in every
+// tuple) and the per-tuple positive-candidate maximum for Us1; E' = U − Y.
+// supp/supn are the node's identified counts before absorption. With
+// absorb false (the pruning-1 ablation) Y stays in E' and the counts
+// exclude it. The row lists live on the arena inside the caller's mark.
+func (m *miner) scanNode(items []dataset.Item, rmax int, supp, supn int, absorb bool) nodeScan {
+	cand, union, all := m.sc.RowWords[0], m.sc.RowWords[1], m.sc.RowWords[2]
+	inX := m.sc.InX.Words()
+	for w := range cand {
+		after := ^uint64(0) // rows > rmax in word w
+		switch lo := w * 64; {
+		case rmax >= lo+64:
+			after = 0
+		case rmax >= lo:
+			after <<= uint(rmax-lo) + 1
 		}
-	} else {
-		slices.Sort(yRows)
-		total := 0
-		for i := range tuples {
-			total += len(tuples[i].Rows) - len(yRows) // Y is in every tuple
+		cand[w] = after &^ inX[w]
+	}
+	clear(union)
+	copy(all, cand)
+	sc := nodeScan{suppIn: supp}
+	for _, it := range items {
+		iw := m.tt.ItemWords(it)
+		np := 0
+		for w, c := range cand {
+			t := iw[w] & c
+			union[w] |= t
+			all[w] &= t
+			np += bits.OnesCount64(t & m.posWords[w])
 		}
-		backing := m.sc.A.I32.Alloc(total)
-		w := 0
-		for i := range tuples {
-			start := w
-			yi := 0
-			for _, r := range tuples[i].Rows {
-				for yi < len(yRows) && yRows[yi] < r {
-					yi++
-				}
-				if yi < len(yRows) && yRows[yi] == r {
-					continue
-				}
-				backing[w] = r
-				w++
-			}
-			cleaned[i] = backing[start:w:w]
+		sc.maxPos = max(sc.maxPos, np)
+	}
+
+	// all is Y; union becomes E'.
+	yPos, yAll := 0, 0
+	for w, y := range all {
+		if absorb {
+			union[w] &^= y
+			yPos += bits.OnesCount64(y & m.posWords[w])
+			yAll += bits.OnesCount64(y)
+		} else if y != 0 {
+			sc.inAll = true
 		}
 	}
-	return node{
-		tuples:  tuples,
-		cleaned: cleaned,
-		eRows:   eRows,
-		yRows:   yRows,
-		supp:    supp,
-		supn:    supn,
-		emitOK:  emitOK,
-		mark:    mark,
-	}, true, nil
+	sc.eRows = appendRows(m.sc.A.I32.Alloc(popcount(union))[:0], union)
+	if yAll > 0 {
+		sc.yRows = appendRows(m.sc.A.I32.Alloc(yAll)[:0], all)
+	}
+	sc.supp = supp + yPos
+	sc.supn = supn + yAll - yPos
+	return sc
 }
 
 // tightBoundPrunes evaluates the step-4 bounds of a scanned node — Us1 and
@@ -475,72 +475,20 @@ func (m *miner) tightBoundPrunes(us1, supp, supn int) bool {
 }
 
 // children is step 6 of Figure 5 over the candidates r ∈ E' ∩ [lo, hi),
-// in ORD order. Each child's tuples are exactly the node's tuples that
-// contain r, with candidate rows > r (Lemma 3.3). The tuple lists per
-// candidate are laid out in one flat counted array; candidate positions
-// come from binary search in the sorted E' (candidate counts are tiny
-// compared to tuple counts).
+// in ORD order.
 func (m *miner) children(nd *node, lo, hi int) error {
 	eRows := nd.eRows
-	pLo := sort.Search(len(eRows), func(i int) bool { return eRows[i] >= int32(lo) })
-	pHi := sort.Search(len(eRows), func(i int) bool { return eRows[i] >= int32(hi) })
+	pLo, pHi := searchRow(eRows, int32(lo)), searchRow(eRows, int32(hi))
 	if pLo >= pHi {
 		return nil
 	}
 	span := eRows[pLo:pHi]
-	first, last := span[0], span[len(span)-1]
-	posOf := func(r int32) int {
-		return sort.Search(len(span), func(i int) bool { return span[i] >= r })
-	}
-	cleaned := nd.cleaned
-	counts := m.sc.A.I32.Alloc(len(span) + 1)
-	for ti := range cleaned {
-		for _, r := range cleaned[ti] {
-			if r > last {
-				break
-			}
-			if r >= first {
-				counts[posOf(r)+1]++
-			}
-		}
-	}
-	for i := 1; i <= len(span); i++ {
-		counts[i] += counts[i-1]
-	}
-	flat := m.sc.A.I32.Alloc(int(counts[len(span)]))
-	fill := m.sc.A.I32.Alloc(len(span))
-	for ti := range cleaned {
-		for _, r := range cleaned[ti] {
-			if r > last {
-				break
-			}
-			if r >= first {
-				p := posOf(r)
-				flat[int(counts[p])+int(fill[p])] = int32(ti)
-				fill[p]++
-			}
-		}
-	}
-	posBoundary := sort.Search(len(eRows), func(i int) bool { return eRows[i] >= int32(m.numPos) })
-	childBacking := m.sc.A.Tup.Alloc(int(counts[len(span)]))
+	tables, offs := m.childTables(nd.items, span)
+	posBoundary := searchRow(eRows, int32(m.numPos))
 	for p, r := range span {
-		tis := flat[counts[p]:counts[p+1]]
-		child := childBacking[counts[p]:counts[p]:counts[p+1]]
-		for _, ti := range tis {
-			rows := cleaned[ti]
-			k := sort.Search(len(rows), func(i int) bool { return rows[i] > r })
-			child = append(child, tuple{Item: nd.tuples[ti].Item, Rows: rows[k:]})
-		}
-		ca, cb := nd.supp, nd.supn
-		childEp := 0
-		if int(r) < m.numPos {
-			ca++
-			childEp = posBoundary - (pLo + p) - 1
-		} else {
-			cb++
-		}
+		ca, cb, ep := m.childCounts(nd.supp, nd.supn, r, pLo+p, posBoundary)
 		m.sc.InX.Set(int(r))
-		err := m.mineNode(child, ca, cb, childEp, int(r))
+		err := m.mineNode(tables[offs[p]:offs[p+1]], ca, cb, ep, int(r))
 		m.sc.InX.Clear(int(r))
 		if err != nil {
 			return err
@@ -549,13 +497,67 @@ func (m *miner) children(nd *node, lo, hi int) error {
 	return nil
 }
 
+// childTables builds the conditional tables of the children r ∈ span of
+// an opened node (Y already absorbed); span is an ascending run of the
+// node's E'. Child r's table is every item whose tuple contains r
+// (Lemma 3.3) — whose row words hold r, since r is a candidate. All
+// children are built in two passes over the items' words masked to span:
+// a dense row → position table (Scratch.Pos) counts each child's items,
+// then the fill pass writes each item straight into its child's slot,
+// keeping the parent's item order. Child p is tables[offs[p]:offs[p+1]],
+// on the arena inside the caller's mark.
+func (m *miner) childTables(items []dataset.Item, span []int32) (tables []dataset.Item, offs []int32) {
+	pos, mask := m.sc.Pos, m.sc.RowWords[0]
+	clear(mask)
+	for p, r := range span {
+		pos[r] = int32(p)
+		mask[r>>6] |= 1 << (uint(r) & 63)
+	}
+	offs = m.sc.A.I32.Alloc(len(span) + 1)
+	for _, it := range items {
+		iw := m.tt.ItemWords(it)
+		for w, x := range mask {
+			for b := iw[w] & x; b != 0; b &= b - 1 {
+				offs[pos[w<<6+bits.TrailingZeros64(b)]+1]++
+			}
+		}
+	}
+	for p := range span {
+		offs[p+1] += offs[p]
+	}
+	tables = m.sc.A.I32.Alloc(int(offs[len(span)]))
+	fill := m.sc.A.I32.Alloc(len(span))
+	for _, it := range items {
+		iw := m.tt.ItemWords(it)
+		for w, x := range mask {
+			for b := iw[w] & x; b != 0; b &= b - 1 {
+				p := pos[w<<6+bits.TrailingZeros64(b)]
+				tables[offs[p]+fill[p]] = it
+				fill[p]++
+			}
+		}
+	}
+	return tables, offs
+}
+
+// childCounts returns the identified counts and positive-candidate count
+// of the child reached by choosing candidate r of a node with identified
+// counts supp/supn, where p is r's index in the node's ascending E' and
+// posBoundary the number of positive rows in E'.
+func (m *miner) childCounts(supp, supn int, r int32, p, posBoundary int) (ca, cb, epCount int) {
+	if int(r) < m.numPos {
+		return supp + 1, supn, posBoundary - p - 1
+	}
+	return supp, supn + 1, 0
+}
+
 // close finishes an opened node once its children ran with outcome err:
 // step 7 — emit I(X) → C if it is the upper bound of an IRG satisfying the
 // constraints, after all descendants (Lemma 3.4) — only when err is nil,
 // then pop Y from the row set and the node's buffers from the arena.
 func (m *miner) close(nd *node, err error) error {
 	if err == nil && nd.emitOK {
-		err = m.maybeEmit(nd.tuples, nd.supp, nd.supn)
+		err = m.maybeEmit(nd.items, nd.supp, nd.supn)
 	}
 	for _, r := range nd.yRows {
 		m.sc.InX.Clear(int(r))
@@ -569,7 +571,7 @@ func (m *miner) close(nd *node, err error) error {
 // final the moment it is appended (later discoveries are more specific or
 // incomparable, so they can never displace it — see MineStream), which is
 // what makes streaming delivery sound.
-func (m *miner) maybeEmit(tuples []tuple, supp, supn int) error {
+func (m *miner) maybeEmit(items []dataset.Item, supp, supn int) error {
 	// After cancellation nothing more is delivered: the unwind path from a
 	// cancelled descendant passes through the step-7 calls of every
 	// ancestor, which would otherwise still emit.
@@ -627,16 +629,11 @@ func (m *miner) maybeEmit(tuples []tuple, supp, supn int) error {
 			}
 		}
 	}
-	items := make([]dataset.Item, len(tuples))
-	for i, t := range tuples {
-		items[i] = t.Item
-	}
-	slices.Sort(items)
 	m.groups = append(m.groups, irgEntry{
 		rows:   inX.Clone(),
 		supPos: supp,
 		tot:    tot,
-		items:  items,
+		items:  slices.Clone(items),
 		chi:    chi,
 	})
 	m.ex.Stats.GroupsEmitted++
@@ -669,46 +666,31 @@ func (m *miner) confBoundFails(confUB float64) bool {
 // backScanHit implements the detection of Lemma 3.6: is there a row r0 with
 // r0 < rmax, r0 ∉ X ∪ Yacc, occurring in every tuple of the node? Such a
 // row proves every upper bound below this node was already discovered at an
-// earlier or compressed node. The scan walks the prefixes of the tuples'
-// global row lists (the "back scan" of §3.3).
-func (m *miner) backScanHit(tuples []tuple, rmax int) bool {
-	if len(tuples) == 0 || rmax == 0 {
+// earlier or compressed node. The scan is word-parallel over the items'
+// global row sets: start from [0, rmax) minus m.sc.InX and AND in each
+// item's row words, stopping as soon as nothing survives.
+func (m *miner) backScanHit(items []dataset.Item, rmax int) bool {
+	if len(items) == 0 || rmax == 0 {
 		return false
 	}
-	ep := m.sc.NextEpoch()
-	cnt, stamp := m.sc.Cnt, m.sc.Stamp
-	inX := m.sc.InX
-	ntup := int32(len(tuples))
-	for ti, t := range tuples {
-		glist := m.tt.Lists[t.Item]
-		hitAny := false
-		for _, r := range glist {
-			if int(r) >= rmax {
-				break
-			}
-			if inX.Test(int(r)) {
-				continue
-			}
-			if ti == 0 {
-				stamp[r] = ep
-				cnt[r] = 1
-				if ntup == 1 {
-					return true
-				}
-				hitAny = true
-				continue
-			}
-			if stamp[r] == ep && cnt[r] == int32(ti) {
-				cnt[r]++
-				if cnt[r] == ntup {
-					return true
-				}
-				hitAny = true
-			}
+	nw := (rmax + 63) >> 6
+	acc := m.sc.RowWords[0][:nw]
+	for w, x := range m.sc.InX.Words()[:nw] {
+		acc[w] = ^x
+	}
+	if tail := uint(rmax) & 63; tail != 0 {
+		acc[nw-1] &= 1<<tail - 1
+	}
+	for _, it := range items {
+		iw := m.tt.ItemWords(it)[:nw]
+		var live uint64
+		for w := range acc {
+			acc[w] &= iw[w]
+			live |= acc[w]
 		}
-		if !hitAny {
-			return false // some tuple contributes no surviving prefix row
+		if live == 0 {
+			return false
 		}
 	}
-	return false
+	return true
 }

@@ -32,9 +32,9 @@ func MineParallel(d *dataset.Dataset, consequent int, opt Options, workers int) 
 // subtasks are the pairs (r1, r2), r1 ≤ r2, and a worker executes
 // consecutive subtasks that share r1 as one span task (mineSpan): it
 // replays root {r1} exactly as Mine opens it — back scan, bounds, Y
-// absorption, cleaned table — and expands only the children r2 ∈ E'(r1)
-// inside the span, each built from the root's cleaned table. The span holding the
-// singleton (r1, r1) counts the root's own events and runs its step 7.
+// absorption — and expands only the children r2 ∈ E'(r1) inside the
+// span. The span holding the singleton (r1, r1) counts the root's own
+// events and runs its step 7.
 // Span tasks replay the root, so the union of tasks is exactly Mine's
 // tree: each node is visited once, and the summed counters equal Mine's.
 //
@@ -156,7 +156,6 @@ type workerOut struct {
 // at depth-2 granularity. It returns when the source's whole region has
 // been executed or the context fired.
 func minePartitions(ctx context.Context, ordered *dataset.Dataset, shared *dataset.Transposed, numPos int, opt Options, src plan.SizedSource, workers int) []workerOut {
-	n := len(ordered.Rows)
 	sched := newWsScheduler(src, workers)
 	outs := make([]workerOut, workers)
 
@@ -166,16 +165,8 @@ func minePartitions(ctx context.Context, ordered *dataset.Dataset, shared *datas
 		go func(w int) {
 			defer wg.Done()
 			wex := engine.NewExec(ctx)
-			m := &miner{
-				ds:             ordered,
-				tt:             shared,
-				numPos:         numPos,
-				n:              n,
-				opt:            opt,
-				ex:             wex,
-				sc:             engine.NewScratch(n),
-				recordRejected: true,
-			}
+			m := newMiner(ordered, numPos, opt, wex, shared)
+			m.recordRejected = true
 			for wex.Err() == nil {
 				t, ok := sched.take(w)
 				if !ok {

@@ -262,19 +262,9 @@ func (t *topkSearch) run() error {
 		return nil
 	}
 	for ri := 0; ri < m.n; ri++ {
-		tuples := m.rootTuples(ri)
-		supp, supn := 0, 0
-		if ri < m.numPos {
-			supp = 1
-		} else {
-			supn = 1
-		}
-		epCount := m.numPos - ri - 1
-		if epCount < 0 {
-			epCount = 0
-		}
+		supp, supn, epCount := m.rootCounts(ri)
 		m.sc.InX.Set(ri)
-		err := t.walk(tuples, supp, supn, epCount, ri)
+		err := t.walk(m.ds.Rows[ri].Items, supp, supn, epCount, ri)
 		m.sc.InX.Clear(ri)
 		if err != nil {
 			return err
@@ -286,18 +276,12 @@ func (t *topkSearch) run() error {
 // walk mirrors mineNode's traversal with the branch-and-bound cut: instead
 // of fixed thresholds, subtrees are pruned when the measure's vertex bound
 // cannot beat the current k-th best score.
-func (t *topkSearch) walk(tuples []tuple, supp, supn, epCount, rmax int) error {
+func (t *topkSearch) walk(items []dataset.Item, supp, supn, epCount, rmax int) error {
 	m := t.miner
 	if err := m.ex.EnterNode(); err != nil {
 		return err
 	}
-	if len(tuples) == 0 {
-		return nil
-	}
-	if m.backScanHit(tuples, rmax) {
-		return nil
-	}
-	if supp+epCount < m.opt.MinSup {
+	if len(items) == 0 || m.backScanHit(items, rmax) || supp+epCount < m.opt.MinSup {
 		return nil
 	}
 
@@ -305,59 +289,11 @@ func (t *topkSearch) walk(tuples []tuple, supp, supn, epCount, rmax int) error {
 	mark := m.sc.A.Mark()
 	defer m.sc.A.Release(mark)
 
-	// Scan (same bookkeeping as mineNode's step 3).
-	ep := m.sc.NextEpoch()
-	cnt, stamp := m.sc.Cnt, m.sc.Stamp
-	ntup := int32(len(tuples))
-	maxPosInTuple := 0
-	distinct := 0
-	for _, tp := range tuples {
-		if len(tp.Rows) == 0 {
-			continue
-		}
-		if pos := sort.Search(len(tp.Rows), func(i int) bool { return tp.Rows[i] >= int32(m.numPos) }); pos > maxPosInTuple {
-			maxPosInTuple = pos
-		}
-		for _, r := range tp.Rows {
-			if stamp[r] != ep {
-				stamp[r] = ep
-				cnt[r] = 0
-				distinct++
-			}
-			cnt[r]++
-		}
-	}
-	union := m.sc.A.I32.Alloc(distinct)
-	ne, ny := 0, 0
-	yPos, yNeg := 0, 0
-	for _, tp := range tuples {
-		for _, r := range tp.Rows {
-			if stamp[r] != ep || cnt[r] < 0 {
-				continue
-			}
-			if cnt[r] == ntup {
-				ny++
-				union[distinct-ny] = r
-				if int(r) < m.numPos {
-					yPos++
-				} else {
-					yNeg++
-				}
-			} else {
-				union[ne] = r
-				ne++
-			}
-			cnt[r] = -1
-		}
-	}
-	eRows, yRows := union[:ne], union[ne:]
-	slices.Sort(eRows)
-	suppIn := supp
-	supp += yPos
-	supn += yNeg
+	sc := m.scanNode(items, rmax, supp, supn, true)
+	supp, supn = sc.supp, sc.supn
 
 	// Bound cuts: support, then the dynamic measure bound.
-	if suppIn+maxPosInTuple < m.opt.MinSup {
+	if sc.suppIn+sc.maxPos < m.opt.MinSup {
 		return nil
 	}
 	if len(t.best) == t.k {
@@ -367,82 +303,16 @@ func (t *topkSearch) walk(tuples []tuple, supp, supn, epCount, rmax int) error {
 		}
 	}
 
-	for _, r := range yRows {
+	for _, r := range sc.yRows {
 		m.sc.InX.Set(int(r))
 	}
-	cleaned := m.sc.A.Rows.Alloc(len(tuples))
-	if len(yRows) == 0 {
-		for i := range tuples {
-			cleaned[i] = tuples[i].Rows
-		}
-	} else {
-		slices.Sort(yRows)
-		total := 0
-		for i := range tuples {
-			total += len(tuples[i].Rows) - len(yRows) // Y is in every tuple
-		}
-		backing := m.sc.A.I32.Alloc(total)
-		w := 0
-		for i := range tuples {
-			start := w
-			yi := 0
-			for _, r := range tuples[i].Rows {
-				for yi < len(yRows) && yRows[yi] < r {
-					yi++
-				}
-				if yi < len(yRows) && yRows[yi] == r {
-					continue
-				}
-				backing[w] = r
-				w++
-			}
-			cleaned[i] = backing[start:w:w]
-		}
-	}
-
-	// Children via the same flat counted layout as mineNode's step 6.
-	if len(eRows) > 0 {
-		posOf := func(r int32) int {
-			return sort.Search(len(eRows), func(i int) bool { return eRows[i] >= r })
-		}
-		counts := m.sc.A.I32.Alloc(len(eRows) + 1)
-		for ti := range cleaned {
-			for _, r := range cleaned[ti] {
-				counts[posOf(r)+1]++
-			}
-		}
-		for i := 1; i <= len(eRows); i++ {
-			counts[i] += counts[i-1]
-		}
-		flat := m.sc.A.I32.Alloc(int(counts[len(eRows)]))
-		fill := m.sc.A.I32.Alloc(len(eRows))
-		for ti := range cleaned {
-			for _, r := range cleaned[ti] {
-				p := posOf(r)
-				flat[int(counts[p])+int(fill[p])] = int32(ti)
-				fill[p]++
-			}
-		}
-		posBoundary := sort.Search(len(eRows), func(i int) bool { return eRows[i] >= int32(m.numPos) })
-		childBacking := m.sc.A.Tup.Alloc(int(counts[len(eRows)]))
-		for p, r := range eRows {
-			tis := flat[counts[p]:counts[p+1]]
-			child := childBacking[counts[p]:counts[p]:counts[p+1]]
-			for _, ti := range tis {
-				rows := cleaned[ti]
-				kk := sort.Search(len(rows), func(i int) bool { return rows[i] > r })
-				child = append(child, tuple{Item: tuples[ti].Item, Rows: rows[kk:]})
-			}
-			ca, cb := supp, supn
-			childEp := 0
-			if int(r) < m.numPos {
-				ca++
-				childEp = posBoundary - p - 1
-			} else {
-				cb++
-			}
+	if len(sc.eRows) > 0 {
+		tables, offs := m.childTables(items, sc.eRows)
+		posBoundary := searchRow(sc.eRows, int32(m.numPos))
+		for p, r := range sc.eRows {
+			ca, cb, ep := m.childCounts(supp, supn, r, p, posBoundary)
 			m.sc.InX.Set(int(r))
-			err := t.walk(child, ca, cb, childEp, int(r))
+			err := t.walk(tables[offs[p]:offs[p+1]], ca, cb, ep, int(r))
 			m.sc.InX.Clear(int(r))
 			if err != nil {
 				return err
@@ -455,16 +325,11 @@ func (t *topkSearch) walk(tuples []tuple, supp, supn, epCount, rmax int) error {
 	if supp >= m.opt.MinSup && m.ex.Err() == nil {
 		score := t.measure.value(supp+supn, supp, m.n, m.numPos)
 		if len(t.best) < t.k || score > t.best.threshold() {
-			items := make([]dataset.Item, len(tuples))
-			for i, tp := range tuples {
-				items[i] = tp.Item
-			}
-			slices.Sort(items)
 			entry := scoredEntry{score: score}
 			entry.rows = m.sc.InX.Clone()
 			entry.supPos = supp
 			entry.tot = supp + supn
-			entry.items = items
+			entry.items = slices.Clone(items)
 			heap.Push(&t.best, entry)
 			if len(t.best) > t.k {
 				heap.Pop(&t.best)
@@ -473,7 +338,7 @@ func (t *topkSearch) walk(tuples []tuple, supp, supn, epCount, rmax int) error {
 		}
 	}
 
-	for _, r := range yRows {
+	for _, r := range sc.yRows {
 		m.sc.InX.Clear(int(r))
 	}
 	return nil

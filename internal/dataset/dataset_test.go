@@ -177,6 +177,33 @@ func TestTransposePaperExample(t *testing.T) {
 	}
 }
 
+// TransposedFromWords adopts stored row words only when they hold exactly
+// the lists' rows: a missing row, a stray row, a stray bit past the last
+// row and a wrong length are each rejected.
+func TestTransposedFromWordsChecksWords(t *testing.T) {
+	tt := Transpose(PaperExample()) // 5 rows: one word per item
+	clone := func() []uint64 { return append([]uint64(nil), tt.Words...) }
+	got, err := TransposedFromWords(tt.NumRows, tt.Lists, clone())
+	if err != nil {
+		t.Fatalf("matching words rejected: %v", err)
+	}
+	if !reflect.DeepEqual(got, tt) {
+		t.Fatalf("adopted table differs from Transpose's")
+	}
+	a := int(ItemsFromString("a")[0]) // rows 0-3
+	for name, mutate := range map[string]func(w []uint64) []uint64{
+		"missing row": func(w []uint64) []uint64 { w[a] &^= 1 << 2; return w },
+		"stray row":   func(w []uint64) []uint64 { w[a] |= 1 << 4; return w },
+		"tail bit":    func(w []uint64) []uint64 { w[a] |= 1 << 63; return w },
+		"swapped row": func(w []uint64) []uint64 { w[a] = w[a]&^(1<<2) | 1<<4; return w },
+		"short":       func(w []uint64) []uint64 { return w[:len(w)-1] },
+	} {
+		if _, err := TransposedFromWords(tt.NumRows, tt.Lists, mutate(clone())); err == nil {
+			t.Errorf("%s: accepted", name)
+		}
+	}
+}
+
 func TestTransposeItemsOfRowInverse(t *testing.T) {
 	d := PaperExample()
 	tt := Transpose(d)

@@ -24,8 +24,9 @@ type Snapshot struct {
 	d  *Dataset
 	tt *Transposed
 
-	// itemRows[it] is the set of original row ids containing item it.
-	// Shared across runs; miners must only read (And/AndCount/Clone).
+	// itemRows[it] is the set of original row ids containing item it,
+	// carved from tt's row words (one copy). Shared across runs; miners
+	// must only read (And/AndCount/Clone).
 	itemRows []*bitset.Set
 
 	// freqOrder holds every item with nonzero support, sorted by
@@ -57,15 +58,8 @@ func NewSnapshot(d *Dataset) (*Snapshot, error) {
 		return nil, err
 	}
 	tt := Transpose(d)
-	n := len(d.Rows)
-	itemRows := make([]*bitset.Set, d.NumItems)
 	var freqOrder []Item
 	for it, list := range tt.Lists {
-		s := bitset.New(n)
-		for _, r := range list {
-			s.Set(int(r))
-		}
-		itemRows[it] = s
 		if len(list) > 0 {
 			freqOrder = append(freqOrder, Item(it))
 		}
@@ -80,7 +74,7 @@ func NewSnapshot(d *Dataset) (*Snapshot, error) {
 	return &Snapshot{
 		d:         d,
 		tt:        tt,
-		itemRows:  itemRows,
+		itemRows:  tt.RowSets(),
 		freqOrder: freqOrder,
 		views:     make(map[int]*ConsequentView),
 	}, nil
@@ -92,15 +86,15 @@ func NewSnapshot(d *Dataset) (*Snapshot, error) {
 // as NewSnapshot would have computed them; the store's decoder establishes
 // this with structural checks plus a whole-file checksum. views may be nil
 // or hold any subset of materialized consequent views (missing ones are
-// compiled lazily as usual).
-func RestoreSnapshot(d *Dataset, tt *Transposed, itemRows []*bitset.Set, freqOrder []Item, views map[int]*ConsequentView) *Snapshot {
+// compiled lazily as usual). The per-item row bitsets are tt's row words.
+func RestoreSnapshot(d *Dataset, tt *Transposed, freqOrder []Item, views map[int]*ConsequentView) *Snapshot {
 	if views == nil {
 		views = make(map[int]*ConsequentView)
 	}
 	return &Snapshot{
 		d:         d,
 		tt:        tt,
-		itemRows:  itemRows,
+		itemRows:  tt.RowSets(),
 		freqOrder: freqOrder,
 		views:     views,
 	}

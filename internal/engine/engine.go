@@ -260,6 +260,17 @@ type Scratch struct {
 	// Its contents are undefined between uses.
 	Tmp *bitset.Set
 
+	// Pos is a dense row → position table for step 6's child build: a
+	// node writes the position of each of its candidate rows, then reads
+	// it back for every candidate occurrence in its tuples. Entries of
+	// rows that are not current candidates are stale, never read.
+	Pos []int32
+
+	// RowWords are three row-set word buffers (⌈n/64⌉ words each) for
+	// word-parallel node work: FARMER's node scan, back scan and child
+	// build. Their contents are undefined between uses.
+	RowWords [3][]uint64
+
 	// A is the depth-indexed slab arena behind the conditional-table hot
 	// path: every per-node buffer (cleaned candidate lists, count arrays,
 	// child conditional tables) is pushed on node entry and popped on
@@ -271,19 +282,27 @@ type Scratch struct {
 
 // NewScratch returns scratch for a dataset of n rows.
 func NewScratch(n int) *Scratch {
-	return &Scratch{
+	s := &Scratch{
 		Cnt:   make([]int32, n),
 		Stamp: make([]uint32, n),
 		InX:   bitset.New(n),
 		Tmp:   bitset.New(n),
+		Pos:   make([]int32, n),
 	}
+	stride := (n + 63) / 64
+	words := make([]uint64, len(s.RowWords)*stride)
+	for i := range s.RowWords {
+		s.RowWords[i] = words[i*stride : (i+1)*stride : (i+1)*stride]
+	}
+	return s
 }
 
 // Bytes reports the scratch substrate's retained storage: the stamped
-// counter arrays, both bitsets, and the slab arena at its high-water size.
+// counter arrays, the position table, both bitsets, the row-set words, and
+// the slab arena at its high-water size.
 func (s *Scratch) Bytes() int64 {
-	return int64(cap(s.Cnt))*4 + int64(cap(s.Stamp))*4 +
-		s.InX.Bytes() + s.Tmp.Bytes() + s.A.Bytes()
+	return int64(cap(s.Cnt))*4 + int64(cap(s.Stamp))*4 + int64(cap(s.Pos))*4 +
+		s.InX.Bytes() + s.Tmp.Bytes() + int64(len(s.RowWords)*cap(s.RowWords[0]))*8 + s.A.Bytes()
 }
 
 // NextEpoch invalidates every stamped counter and returns the new epoch.

@@ -20,6 +20,7 @@ import (
 	"fmt"
 	"hash/crc32"
 	"io"
+	"maps"
 	"math"
 
 	"repro/internal/bitset"
@@ -428,22 +429,21 @@ func Decode(data []byte) (*dataset.Snapshot, error) {
 		return nil, fmt.Errorf("%w: %v", ErrFormat, err)
 	}
 
-	tt, err := decodeTT(c, numItems, numRows)
+	lists, err := decodeLists(c, numItems, numRows)
 	if err != nil {
 		return nil, err
 	}
-
+	// The stored item row sets become the transposed table's row words,
+	// checked against its lists: the one copy, backed by the input.
 	words := (uint64(numRows) + 63) / 64
 	flatWords, err := c.u64s(words * uint64(numItems))
 	if err != nil {
 		return nil, err
 	}
-	for i := uint64(0); i < uint64(numItems); i++ {
-		if err := checkTailBits(flatWords[i*words:(i+1)*words], int(numRows)); err != nil {
-			return nil, fmt.Errorf("%w: item %d row set: %v", ErrFormat, i, err)
-		}
+	tt, err := dataset.TransposedFromWords(int(numRows), lists, flatWords)
+	if err != nil {
+		return nil, fmt.Errorf("%w: %v", ErrFormat, err)
 	}
-	itemRows := bitset.Carve(int(numRows), int(numItems), flatWords)
 
 	freqLen, err := c.u32()
 	if err != nil {
@@ -467,27 +467,34 @@ func Decode(data []byte) (*dataset.Snapshot, error) {
 		seen.Set(int(it))
 	}
 
+	// A view's row words are rebuilt, not stored, so they are the one
+	// structure that could outgrow its bytes in the file. Views are a
+	// cache (ForConsequent compiles a missing one on first use): a view
+	// whose words would take the total past len(data) is validated but
+	// not restored.
+	wordBudget := uint64(len(data))
 	views := make(map[int]*dataset.ConsequentView, min(int(numViews), int(numClasses)))
 	for i := uint32(0); i < numViews; i++ {
-		consequent, v, err := decodeView(c, d, numRows, numItems, words)
+		consequent, v, err := decodeView(c, d, numRows, numItems, words, &wordBudget)
 		if err != nil {
 			return nil, err
 		}
 		if _, dup := views[consequent]; dup {
 			return nil, fmt.Errorf("%w: duplicate view for consequent %d", ErrFormat, consequent)
 		}
-		views[consequent] = v
+		views[consequent] = v // nil when over the budget
 	}
+	maps.DeleteFunc(views, func(_ int, v *dataset.ConsequentView) bool { return v == nil })
 
 	if c.off != len(c.b) {
 		return nil, fmt.Errorf("%w: %d trailing bytes", ErrFormat, len(c.b)-c.off)
 	}
-	return dataset.RestoreSnapshot(d, tt, itemRows, freqOrder, views), nil
+	return dataset.RestoreSnapshot(d, tt, freqOrder, views), nil
 }
 
-// decodeTT rebuilds a transposed table, checking every row id is in range
-// and each item's list is strictly ascending.
-func decodeTT(c *cursor, numItems, numRows uint32) (*dataset.Transposed, error) {
+// decodeLists reads a transposed table's row lists, checking every row id
+// is in range and each item's list is strictly ascending.
+func decodeLists(c *cursor, numItems, numRows uint32) ([][]int32, error) {
 	offs, err := c.offsets(numItems, 4)
 	if err != nil {
 		return nil, err
@@ -496,8 +503,8 @@ func decodeTT(c *cursor, numItems, numRows uint32) (*dataset.Transposed, error) 
 	if err != nil {
 		return nil, err
 	}
-	tt := &dataset.Transposed{NumRows: int(numRows), Lists: make([][]int32, numItems)}
-	for it := range tt.Lists {
+	lists := make([][]int32, numItems)
+	for it := range lists {
 		lo, hi := offs[it], offs[it+1]
 		if lo == hi {
 			continue // empty lists stay nil, as Transpose leaves them
@@ -511,16 +518,18 @@ func decodeTT(c *cursor, numItems, numRows uint32) (*dataset.Transposed, error) 
 				return nil, fmt.Errorf("%w: transposed list for item %d not ascending", ErrFormat, it)
 			}
 		}
-		tt.Lists[it] = list
+		lists[it] = list
 	}
-	return tt, nil
+	return lists, nil
 }
 
 // decodeView rebuilds one ORD view. The ordered dataset is reconstructed
 // by permuting d's rows through the stored permutation (sharing the item
 // slices, exactly as OrderForConsequent does), after verifying the
-// permutation is a bijection that puts the consequent class first.
-func decodeView(c *cursor, d *dataset.Dataset, numRows, numItems uint32, words uint64) (int, *dataset.ConsequentView, error) {
+// permutation is a bijection that puts the consequent class first. The
+// view's row words come out of *wordBudget; when they do not fit, the view
+// is validated all the same and returned nil.
+func decodeView(c *cursor, d *dataset.Dataset, numRows, numItems uint32, words uint64, wordBudget *uint64) (int, *dataset.ConsequentView, error) {
 	consequent, err := c.u32()
 	if err != nil {
 		return 0, nil, err
@@ -562,7 +571,7 @@ func decodeView(c *cursor, d *dataset.Dataset, numRows, numItems uint32, words u
 		ordered.Rows = append(ordered.Rows, row)
 		ord.ToOriginal = append(ord.ToOriginal, int(orig))
 	}
-	ordTT, err := decodeTT(c, numItems, numRows)
+	lists, err := decodeLists(c, numItems, numRows)
 	if err != nil {
 		return 0, nil, err
 	}
@@ -573,10 +582,16 @@ func decodeView(c *cursor, d *dataset.Dataset, numRows, numItems uint32, words u
 	if err := checkTailBits(maskWords, int(numRows)); err != nil {
 		return 0, nil, fmt.Errorf("%w: view %d class mask: %v", ErrFormat, consequent, err)
 	}
+	// numItems·words·8 cannot overflow: both factors are bounded by the input.
+	need := uint64(numItems) * words * 8
+	if need > *wordBudget {
+		return int(consequent), nil, nil
+	}
+	*wordBudget -= need
 	return int(consequent), &dataset.ConsequentView{
 		Ordered: ordered,
 		Ord:     ord,
-		TT:      ordTT,
+		TT:      dataset.NewTransposed(int(numRows), lists),
 		PosMask: bitset.FromWords(int(numRows), maskWords),
 	}, nil
 }

@@ -4,9 +4,11 @@ import (
 	"bytes"
 	"errors"
 	"flag"
+	"fmt"
 	"math/rand"
 	"os"
 	"reflect"
+	"runtime"
 	"testing"
 
 	"repro/internal/dataset"
@@ -251,6 +253,93 @@ func TestDecodeRejectsCorruption(t *testing.T) {
 			t.Fatalf("got %v, want ErrFormat", err)
 		}
 	})
+}
+
+// A header may declare any shape its 4-byte row and item slots can pay
+// for. A file of empty rows and empty lists that ends before its item row
+// sets must fail without sizing those sets: 65536 rows × 131072 items of
+// them would be 1 GiB, from about 1 MiB of input.
+func TestDecodeHugeShapeAllocatesLittle(t *testing.T) {
+	const numRows, numItems = 1 << 16, 1 << 17
+	a := &appender{}
+	a.raw([]byte(Magic))
+	for _, v := range []uint32{Version, 0, numRows, numItems, 1, 0} {
+		a.u32(v) // version, flags, rows, items, classes, views
+	}
+	a.str("C")
+	for i := 0; i < 2*numRows+1; i++ {
+		a.u32(0) // row classes, then the row offset table: all rows empty
+	}
+	for i := 0; i < numItems+1; i++ {
+		a.u32(0) // transposed offset table: all lists empty
+	}
+	a.u64(0)
+	data := fixCRC(a.b)
+
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	_, err := Decode(data)
+	runtime.ReadMemStats(&after)
+	if !errors.Is(err, ErrFormat) {
+		t.Fatalf("got %v, want ErrFormat", err)
+	}
+	if alloc := after.TotalAlloc - before.TotalAlloc; alloc > 16*uint64(len(data)) {
+		t.Fatalf("decoding %d bytes allocated %d", len(data), alloc)
+	}
+}
+
+// A view's row words are rebuilt, not stored, so a file with many views of
+// a wide, sparse table decodes to more words than it has bytes. Decode
+// restores views only while their words fit in len(data); the rest are
+// compiled on first use, identical to a fresh snapshot's.
+func TestDecodeViewWordsStayWithinInput(t *testing.T) {
+	const numRows, numItems, numClasses = 4096, 512, 24
+	lists := make([][]dataset.Item, numRows)
+	classes := make([]int, numRows)
+	names := make([]string, numClasses)
+	for i := range names {
+		names[i] = fmt.Sprint("c", i)
+	}
+	for r := range lists {
+		classes[r] = r % numClasses
+		lists[r] = []dataset.Item{dataset.Item(r % numItems)}
+	}
+	d, err := dataset.FromItemLists(lists, classes, numItems, names)
+	if err != nil {
+		t.Fatal(err)
+	}
+	all := make([]int, numClasses)
+	for c := range all {
+		all[c] = c
+	}
+	want := mustSnapshot(t, d, all...)
+	buf, err := Encode(want)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := Decode(buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	restored := got.MaterializedViews()
+	words := 0
+	for _, v := range restored {
+		words += 8 * len(v.TT.Words)
+	}
+	if len(restored) == 0 || len(restored) == numClasses || words > len(buf) {
+		t.Fatalf("%d of %d views restored, %d word bytes from a %d-byte file", len(restored), numClasses, words, len(buf))
+	}
+	for c := range all {
+		w, _ := want.ForConsequent(c)
+		g, err := got.ForConsequent(c)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(w.TT, g.TT) || !reflect.DeepEqual(w.Ord, g.Ord) || !w.PosMask.Equal(g.PosMask) {
+			t.Fatalf("view %d differs from a fresh snapshot's", c)
+		}
+	}
 }
 
 // goldenSnapshot compiles the committed golden source dataset exactly as

@@ -6,7 +6,10 @@ import (
 	"math/rand"
 	"os"
 	"path/filepath"
+	"slices"
 	"testing"
+
+	"repro/internal/dataset"
 )
 
 // fixCRC recomputes the trailing checksum over a mutated body so the
@@ -116,6 +119,12 @@ func FuzzReadSnapshot(f *testing.F) {
 			if err != nil {
 				continue
 			}
+			// The per-item row words of every decoded transposed table
+			// must hold exactly its lists' rows.
+			checkWordsMatchLists(t, snap.Transposed())
+			for _, v := range snap.MaterializedViews() {
+				checkWordsMatchLists(t, v.TT)
+			}
 			// Whatever Decode accepts must be internally consistent
 			// enough to re-encode, and the re-encoding must decode.
 			buf, err := Encode(snap)
@@ -127,6 +136,25 @@ func FuzzReadSnapshot(f *testing.F) {
 			}
 		}
 	})
+}
+
+// checkWordsMatchLists fails t unless tt's per-item row words hold
+// exactly the rows of its lists.
+func checkWordsMatchLists(t *testing.T, tt *dataset.Transposed) {
+	t.Helper()
+	if tt.Stride != (tt.NumRows+63)/64 || len(tt.Words) != len(tt.Lists)*tt.Stride {
+		t.Fatalf("transposed table: stride %d, %d words for %d rows × %d items", tt.Stride, len(tt.Words), tt.NumRows, len(tt.Lists))
+	}
+	want := make([]uint64, tt.Stride)
+	for it, list := range tt.Lists {
+		clear(want)
+		for _, r := range list {
+			want[r/64] |= 1 << (r % 64)
+		}
+		if got := tt.ItemWords(dataset.Item(it)); !slices.Equal(got, want) {
+			t.Fatalf("item %d row words %x, list %v", it, got, list)
+		}
+	}
 }
 
 // TestWriteFuzzCorpus materializes the seed corpus under
