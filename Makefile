@@ -52,8 +52,9 @@ smoke:
 
 # Machine-readable core benchmarks (ns/op, allocs/op, B/op for Prepare,
 # SnapshotLoad, Mine, MineParallel and CHARM over the bench datasets,
-# prepared Mine on three paper-shape points (MinePaper), plus the widened
-# bitset kernels in isolation); CI archives the file.
+# prepared Mine and exact top-20 on three paper-shape points (MinePaper,
+# TopKPaper), plus the widened bitset kernels in isolation); CI archives
+# the file.
 BENCH_JSON_DATASETS ?= BC,LC,CT,PC,ALL
 bench-json:
 	$(GO) run ./cmd/benchjson -datasets $(BENCH_JSON_DATASETS) -o BENCH_core.json

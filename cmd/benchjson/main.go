@@ -1,6 +1,7 @@
 // Command benchjson measures the hot mining entry points — Mine,
 // MineParallel at 1 and 2 workers, and CHARM — over the bench datasets,
-// plus prepared sequential FARMER on three paper-shape points (MinePaper),
+// plus prepared sequential FARMER and exact chi-square top-20 on three
+// paper-shape points (MinePaper, TopKPaper),
 // with testing.Benchmark and writes the results as a JSON array (ns/op,
 // allocs/op, B/op, and an env block — nproc, GOMAXPROCS, Go version — on
 // every row), along with the two ways a service can obtain a prepared snapshot: Prepare
@@ -245,17 +246,21 @@ func measure(name, dataset string, minsup, workers int, fn func() error) (Row, e
 	return row, nil
 }
 
-// paperPoints are the paper-tier MinePaper rows: sequential FARMER at
-// minconf 0.9 and minchi 10 on the full-shape synth.PaperSpecs (62–136
-// rows, unpermuted), at minsups that finish in tens of milliseconds.
+// paperPoints are the paper-tier rows: sequential FARMER at minconf 0.9
+// and minchi 10 (MinePaper), and exact chi-square top-20 (TopKPaper), on
+// the full-shape synth.PaperSpecs (62–136 rows, unpermuted), at minsups
+// that finish in tens of milliseconds.
 var paperPoints = []struct {
 	name   string
 	minsup int
 }{{"CT", 39}, {"ALL", 47}, {"PC", 52}}
 
-// runPaper measures the MinePaper rows. Each run reuses a prepared
-// snapshot whose consequent view is already built, so a row times the
-// search alone — the row dimension where FARMER's cost lives.
+// paperTopK is the K of the TopKPaper rows.
+const paperTopK = 20
+
+// runPaper measures the MinePaper and TopKPaper rows. Each run reuses a
+// prepared snapshot whose consequent view is already built, so a row
+// times the search alone — the row dimension where FARMER's cost lives.
 func runPaper() ([]Row, error) {
 	var rows []Row
 	for _, pt := range paperPoints {
@@ -283,7 +288,17 @@ func runPaper() ([]Row, error) {
 		if err != nil {
 			return nil, err
 		}
-		rows = append(rows, row)
+		topk := func() error {
+			_, err := farmer.RunTopK(context.Background(), d, 0, farmer.TopKOptions{
+				K: paperTopK, Measure: farmer.MeasureChi2, MinSup: pt.minsup, Prepared: snap,
+			})
+			return err
+		}
+		trow, err := measure("TopKPaper", pt.name, pt.minsup, 0, topk)
+		if err != nil {
+			return nil, err
+		}
+		rows = append(rows, row, trow)
 	}
 	return rows, nil
 }

@@ -2,36 +2,31 @@ package core
 
 import (
 	"container/heap"
-	"context"
 	"errors"
 	"fmt"
 	"math"
 	"math/rand"
-	"runtime"
 	"slices"
-	"sort"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"repro/internal/dataset"
 	"repro/internal/engine"
-	"repro/internal/stats"
 )
 
 // Strategy selects how TopK explores the row-enumeration lattice.
 type Strategy int
 
 const (
-	// StrategyExact is the depth-first branch-and-bound miner: exhaustive,
-	// arena-unwound, and Counters-identical run to run. It is the zero
-	// value, so existing callers keep the exact semantics untouched.
+	// StrategyExact, the zero value, runs the best-first search below:
+	// unbudgeted it is exhaustive and exact. It and StrategyBestFirst are
+	// one run under two names.
 	StrategyExact Strategy = iota
 	// StrategyBestFirst expands frontier nodes in descending order of
 	// their convex upper bound, so the top-k heap is valid best-so-far at
 	// every instant and the certified optimality gap (best outstanding
 	// bound minus the k-th score) shrinks monotonically. Exhausted, it
-	// returns exactly the exact miner's answer.
+	// returns the exact top-k.
 	StrategyBestFirst
 	// StrategyLeap is the sLeap-style relaxed pruner: a subtree is cut as
 	// soon as its bound cannot improve the current k-th score by more than
@@ -76,13 +71,14 @@ func ParseStrategy(name string) (Strategy, error) {
 	return 0, fmt.Errorf("core: unknown strategy %q (want exact, best_first, leap or sample)", name)
 }
 
-// anytimeTask is one unexpanded node of the frontier search. Unlike the
-// depth-first walk — whose conditional tables live on the arena and die on
-// unwind — a frontier task outlives its parent's expansion arbitrarily, so
-// everything it references must survive off the arena. Tasks are lazy: a
-// child enqueued by expand carries only its parent's conditional table
-// (pitems, heap-retained and shared by all siblings), its parent's path
-// and the branch row to descend to; its own table is derived at pop time.
+// anytimeTask is one unexpanded node of the frontier search. Unlike
+// Mine's depth-first recursion — whose conditional tables live on the
+// arena and die on unwind — a frontier task outlives its parent's
+// expansion arbitrarily, so everything it references must survive off the
+// arena. Tasks are lazy: a child enqueued by expand carries only its
+// parent's conditional table (pitems, heap-retained and shared by all
+// siblings), its parent's path and the branch row to descend to; its own
+// table is derived at pop time.
 // A task pruned at pop — the common fate once the admission threshold
 // rises — therefore costs nothing beyond its struct. A root task's table
 // is its row's item list, immutable for the run.
@@ -155,6 +151,12 @@ func (h *taskHeap) Pop() any {
 	return x
 }
 
+// scoredEntry is one kept top-k candidate: the group and its score.
+type scoredEntry struct {
+	irgEntry
+	score float64
+}
+
 // canonWorse is the canonical total order on candidate groups: a ranks
 // strictly below b when its score is lower, then when its support is
 // lower, then when its antecedent is lexicographically larger. Admission
@@ -191,7 +193,6 @@ func (h *canonHeap) Pop() any {
 // every heap access and for admission; node expansion itself (the scan)
 // runs outside the lock on per-worker scratch.
 type anytimeSearch struct {
-	opt     TopKOptions
 	k       int
 	minsup  int
 	n       int
@@ -286,8 +287,9 @@ func (s *anytimeSearch) pruneBoundLocked(bound float64, ex *engine.Exec) bool {
 }
 
 // admitLocked offers one scored candidate to the top-k heap under the
-// canonical order. rows is the node's closed row set (cloned on
-// admission). Callers hold mu.
+// canonical order. items may live on the worker's arena and the node's
+// closed row set is m's InX: both are cloned only on admission. Callers
+// hold mu.
 func (s *anytimeSearch) admitLocked(ex *engine.Exec, m *miner, items []dataset.Item, score float64, supp, supn int) {
 	cand := scoredEntry{score: score}
 	cand.supPos = supp
@@ -303,6 +305,7 @@ func (s *anytimeSearch) admitLocked(ex *engine.Exec, m *miner, items []dataset.I
 		}
 		s.dedup[key] = struct{}{}
 	}
+	cand.items = slices.Clone(items)
 	cand.rows = m.sc.InX.Clone()
 	heap.Push(&s.best, cand)
 	if len(s.best) > s.k {
@@ -352,9 +355,15 @@ func (s *anytimeSearch) expand(m *miner, t *anytimeTask) (*anytimeTask, error) {
 	if err := m.ex.EnterNode(); err != nil {
 		return nil, err
 	}
+	// Everything built here lives on the arena and pops on return; what
+	// outlives the expansion — the table and path the children share, the
+	// children themselves, an admitted group — is copied off it.
+	mark := m.sc.A.Mark()
+	defer m.sc.A.Release(mark)
+
 	items := t.items
 	if items == nil {
-		items = m.childItems(make([]dataset.Item, 0, len(t.pitems)), t.pitems, t.row)
+		items = m.childItems(m.sc.A.I32.Alloc(len(t.pitems))[:0], t.pitems, t.row)
 	}
 	if len(items) == 0 {
 		return nil, nil
@@ -377,9 +386,6 @@ func (s *anytimeSearch) expand(m *miner, t *anytimeTask) (*anytimeTask, error) {
 		m.ex.Stats.PrunedLooseBound++
 		return nil, nil
 	}
-
-	mark := m.sc.A.Mark()
-	defer m.sc.A.Release(mark)
 
 	sc := m.scanNode(items, int(t.row), t.supp, t.supn, true)
 	supp, supn := sc.supp, sc.supn
@@ -408,7 +414,7 @@ func (s *anytimeSearch) expand(m *miner, t *anytimeTask) (*anytimeTask, error) {
 	if supp >= s.minsup {
 		score := s.valueAt(supp, supn)
 		s.mu.Lock()
-		s.admitLocked(m.ex, m, slices.Clone(items), score, supp, supn)
+		s.admitLocked(m.ex, m, items, score, supp, supn)
 		s.mu.Unlock()
 	}
 
@@ -416,17 +422,15 @@ func (s *anytimeSearch) expand(m *miner, t *anytimeTask) (*anytimeTask, error) {
 		return nil, nil
 	}
 
-	// Children: the same enumeration the exact walk performs, enqueued
-	// lazily. No per-child table is built here — each surviving child
-	// carries a reference to this node's table plus its branch row, and
-	// derives its own table only if it is actually popped. The
-	// pre-enqueue bound check against a snapshot of the k-th score drops
-	// children that can never be admitted (the threshold only rises),
-	// exactly as pruneBoundLocked would at enqueue; delta-relaxed cuts
-	// are not taken early, since they must be recorded under the lock for
-	// the gap certificate.
+	// Children: the same enumeration Mine performs, enqueued lazily. No
+	// per-child table is built here — each surviving child carries a
+	// reference to this node's table plus its branch row, and derives its
+	// own table only if it is actually popped. The pre-enqueue bound check
+	// against a snapshot of the k-th score drops children that can never
+	// be admitted (the threshold only rises), exactly as pruneBoundLocked
+	// would at enqueue; delta-relaxed cuts are not taken early, since they
+	// must be recorded under the lock for the gap certificate.
 	eRows := sc.eRows
-	nch := len(eRows)
 	posBoundary := searchRow(eRows, int32(s.numPos))
 
 	s.mu.Lock()
@@ -436,49 +440,55 @@ func (s *anytimeSearch) expand(m *miner, t *anytimeTask) (*anytimeTask, error) {
 	}
 	s.mu.Unlock()
 
-	taskSlab := make([]anytimeTask, 0, nch)
+	// First pass: the candidate positions of the surviving children, on
+	// the arena, so the task slab below is sized by the survivors.
+	keep := m.sc.A.I32.Alloc(len(eRows))[:0]
 	for p, r := range eRows {
 		ca, cb, childEp := m.childCounts(supp, supn, r, p, posBoundary)
 		if ca+childEp < s.minsup {
 			m.ex.Stats.PrunedLooseBound++
 			continue
 		}
-		b := s.boundAt(ca, cb)
-		if b < kth {
+		if s.boundAt(ca, cb) < kth {
 			m.ex.Stats.PrunedGainBound++
 			continue
 		}
-		taskSlab = append(taskSlab, anytimeTask{
-			bound:   b,
-			row:     r,
-			supp:    ca,
-			supn:    cb,
-			epCount: childEp,
-		})
+		keep = append(keep, int32(p))
 	}
-	if len(taskSlab) == 0 {
+	if len(keep) == 0 {
 		return nil, nil
 	}
 
-	// The node's table — heap-held, or a root row's item list — is the
-	// children's shared parent table as is; the absorbed rows travel in
-	// the path.
+	// The children share this node's table — copied off the arena unless
+	// it is a root row's immutable item list — and its path, which carries
+	// the absorbed rows.
+	if t.items == nil {
+		items = slices.Clone(items)
+	}
 	basePath := make([]int32, 0, len(t.basePath)+1+len(sc.yRows))
 	basePath = append(basePath, t.basePath...)
 	basePath = append(basePath, t.row)
 	basePath = append(basePath, sc.yRows...)
-	for i := range taskSlab {
-		taskSlab[i].pitems = items
-		taskSlab[i].basePath = basePath
-	}
-	// The highest-bound child continues the dive; its siblings join the
-	// frontier in one locked batch.
+	taskSlab := make([]anytimeTask, len(keep))
 	dive := 0
-	for i := 1; i < len(taskSlab); i++ {
+	for i, p := range keep {
+		r := eRows[p]
+		ca, cb, childEp := m.childCounts(supp, supn, r, int(p), posBoundary)
+		taskSlab[i] = anytimeTask{
+			bound:    s.boundAt(ca, cb),
+			pitems:   items,
+			row:      r,
+			basePath: basePath,
+			supp:     ca,
+			supn:     cb,
+			epCount:  childEp,
+		}
+		// The highest-bound child continues the dive.
 		if taskSlab[i].bound > taskSlab[dive].bound {
 			dive = i
 		}
 	}
+	// Its siblings join the frontier in one locked batch.
 	s.mu.Lock()
 	for i := range taskSlab {
 		if i != dive {
@@ -589,133 +599,6 @@ func (s *anytimeSearch) outstandingLocked() (float64, bool) {
 	return maxOut, any
 }
 
-// topKAnytime is the budgeted/approximate TopK engine behind the
-// non-exact strategies.
-func topKAnytime(ctx context.Context, d *dataset.Dataset, consequent int, opt TopKOptions, strat Strategy) (*TopKResult, error) {
-	if opt.Delta < 0 {
-		return nil, fmt.Errorf("core: delta must be >= 0, got %g", opt.Delta)
-	}
-	if strat == StrategySample && opt.MaxMillis <= 0 && opt.MaxNodes <= 0 {
-		return nil, fmt.Errorf("core: the sample strategy needs a max_millis or max_nodes budget")
-	}
-	var deadline time.Time
-	if opt.MaxMillis > 0 {
-		// The deadline covers the whole run, setup included: max_millis is
-		// a promise to the caller, not to the search phase.
-		deadline = time.Now().Add(time.Duration(opt.MaxMillis) * time.Millisecond)
-	}
-
-	ex := engine.NewExec(ctx)
-	setupDone := engine.Phase(&ex.Stats.Timings.Setup)
-	ordered, ord, tt, err := resolveView(d, consequent, opt.Prepared, ex)
-	if err != nil {
-		return nil, err
-	}
-	if tt == nil {
-		tt = dataset.Transpose(ordered)
-	}
-	setupDone()
-
-	workers := opt.Workers
-	if workers < 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers < 1 {
-		workers = 1
-	}
-	if strat == StrategySample {
-		workers = 1 // the walk sequence is the reproducibility contract
-	}
-
-	s := &anytimeSearch{
-		opt:       opt,
-		k:         opt.K,
-		minsup:    opt.MinSup,
-		n:         len(ordered.Rows),
-		numPos:    ord.NumPositive,
-		measure:   opt.Measure,
-		inFlight:  make([]float64, workers),
-		maxPruned: math.Inf(-1),
-	}
-	s.fillTables()
-	if strat == StrategyLeap {
-		s.delta = opt.Delta
-	}
-	if strat == StrategySample {
-		s.dedup = make(map[string]struct{})
-	}
-	s.cond = sync.NewCond(&s.mu)
-	for i := range s.inFlight {
-		s.inFlight[i] = math.Inf(-1)
-	}
-
-	miners := make([]*miner, workers)
-	for w := 0; w < workers; w++ {
-		exw := engine.NewExec(ctx)
-		var shared *atomic.Int64
-		if workers > 1 && opt.MaxNodes > 0 {
-			shared = &s.sharedNodes
-		}
-		exw.SetBudget(deadline, opt.MaxNodes, shared)
-		miners[w] = newMiner(ordered, ord.NumPositive, Options{MinSup: opt.MinSup}, exw, tt)
-	}
-
-	searchDone := engine.Phase(&ex.Stats.Timings.Search)
-	if s.n > 0 && s.numPos > 0 {
-		if strat == StrategySample {
-			s.sample(miners[0], opt.Seed)
-		} else {
-			s.seedRoots(miners[0])
-			if workers == 1 {
-				s.worker(0, miners[0])
-			} else {
-				var wg sync.WaitGroup
-				for w := 0; w < workers; w++ {
-					wg.Add(1)
-					go func(w int) {
-						defer wg.Done()
-						s.worker(w, miners[w])
-					}(w)
-				}
-				wg.Wait()
-			}
-		}
-	}
-	searchDone()
-
-	var nodes int64
-	for _, m := range miners {
-		ex.Stats.Counters.Add(m.ex.Stats.Counters)
-		ex.Stats.ArenaBytes += m.sc.Bytes()
-		nodes += m.ex.Stats.NodesVisited
-	}
-
-	res := &TopKResult{NodesExpanded: nodes}
-	res.Groups = materializeTopK(s.best, ord, s.n, s.numPos)
-
-	if strat == StrategySample {
-		// A sampler's answer carries no certificate: it is partial unless
-		// it provably enumerated nothing… which it cannot prove.
-		res.Partial = true
-	} else {
-		maxOut, any := s.outstandingLocked()
-		kth := 0.0
-		full := len(s.best) == s.k
-		if full {
-			kth = s.best[0].score
-		}
-		res.HasGap = true
-		if any && (maxOut > kth || !full) {
-			res.Partial = true
-			if gap := maxOut - kth; gap > 0 {
-				res.Gap = gap
-			}
-		}
-	}
-	res.stats = ex.Stats
-	return res, s.stopErr
-}
-
 // seedRoots enqueues one task per root row {ri}, in ORD order. A root's
 // table is its row's item list, so roots cost no copies.
 func (s *anytimeSearch) seedRoots(m *miner) {
@@ -734,35 +617,6 @@ func (s *anytimeSearch) seedRoots(m *miner) {
 			epCount: epCount,
 		})
 	}
-}
-
-// materializeTopK converts the kept heap into the public ranking: best
-// first under the canonical order, row ids mapped back to the caller's
-// original order.
-func materializeTopK(best canonHeap, ord *dataset.Ordering, n, numPos int) []ScoredGroup {
-	out := make([]ScoredGroup, len(best))
-	for i := range best {
-		e := &best[i]
-		g := ScoredGroup{Score: e.score}
-		g.Antecedent = e.items
-		g.SupPos = e.supPos
-		g.SupNeg = e.tot - e.supPos
-		g.Confidence = float64(e.supPos) / float64(e.tot)
-		g.Chi = stats.Chi2(e.tot, e.supPos, n, numPos)
-		g.Rows = ord.MapRowsToOriginal(e.rows.Ints())
-		sort.Ints(g.Rows)
-		out[i] = g
-	}
-	sort.SliceStable(out, func(a, b int) bool {
-		if out[a].Score != out[b].Score {
-			return out[a].Score > out[b].Score
-		}
-		if out[a].SupPos != out[b].SupPos {
-			return out[a].SupPos > out[b].SupPos
-		}
-		return lessItems(out[a].Antecedent, out[b].Antecedent)
-	})
-	return out
 }
 
 // sample runs seeded random walks down the row lattice until the budget
@@ -822,7 +676,7 @@ func (s *anytimeSearch) sampleWalk(m *miner, rng *rand.Rand) error {
 		if supp >= s.minsup {
 			score := s.valueAt(supp, supn)
 			s.mu.Lock()
-			s.admitLocked(m.ex, m, slices.Clone(items), score, supp, supn)
+			s.admitLocked(m.ex, m, items, score, supp, supn)
 			s.mu.Unlock()
 		}
 		if len(sc.eRows) == 0 {

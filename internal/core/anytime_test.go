@@ -4,14 +4,17 @@ import (
 	"context"
 	"math/rand"
 	"reflect"
+	"slices"
 	"testing"
 	"time"
 
 	"repro/internal/dataset"
+	"repro/internal/reference"
 )
 
-// Exhausted best-first search is exactly the exact miner: same groups,
-// same order, no partial flag, zero gap.
+// Exhausted top-k is exactly the brute-force oracle on every worker
+// count: the same groups, representatives included, in the same order, no
+// partial flag and a certified zero gap.
 func TestAnytimeExhaustedMatchesExact(t *testing.T) {
 	rng := rand.New(rand.NewSource(424344))
 	for iter := 0; iter < 150; iter++ {
@@ -20,39 +23,30 @@ func TestAnytimeExhaustedMatchesExact(t *testing.T) {
 		k := 1 + rng.Intn(4)
 		minsup := 1 + rng.Intn(2)
 		measure := []Measure{MeasureChi2, MeasureEntropyGain, MeasureGiniGain}[rng.Intn(3)]
+		want := reference.TopK(d, consequent, k, measure.value, minsup)
 
-		exact, err := TopK(context.Background(), d, consequent, TopKOptions{K: k, Measure: measure, MinSup: minsup})
-		if err != nil {
-			t.Fatal(err)
-		}
-		any, err := TopK(context.Background(), d, consequent, TopKOptions{
-			K: k, Measure: measure, MinSup: minsup, Strategy: StrategyBestFirst,
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if any.Partial {
-			t.Fatalf("iter %d: exhausted best-first flagged partial", iter)
-		}
-		if !any.HasGap || any.Gap != 0 {
-			t.Fatalf("iter %d: exhausted best-first gap %v (has=%v), want certified 0", iter, any.Gap, any.HasGap)
-		}
-		if len(any.Groups) != len(exact.Groups) {
-			t.Fatalf("iter %d: %d groups vs exact %d", iter, len(any.Groups), len(exact.Groups))
-		}
-		for i := range any.Groups {
-			// Per-rank scores must agree exactly. Representatives may
-			// differ where scores tie: the exact walk keeps the first
-			// arrival, the anytime heap the canonically best — both are
-			// valid top-k answers (difftest's CheckTopK documents the
-			// same latitude).
-			if any.Groups[i].Score != exact.Groups[i].Score {
-				t.Fatalf("iter %d rank %d: score %v vs exact %v", iter, i, any.Groups[i].Score, exact.Groups[i].Score)
+		for _, workers := range []int{1, 2} {
+			res, err := TopK(context.Background(), d, consequent, TopKOptions{
+				K: k, Measure: measure, MinSup: minsup, Workers: workers,
+			})
+			if err != nil {
+				t.Fatal(err)
 			}
-			pos, neg := dataset.SupportCounts(d, any.Groups[i].Antecedent, consequent)
-			if pos != any.Groups[i].SupPos || neg != any.Groups[i].SupNeg {
-				t.Fatalf("iter %d rank %d: group %v stats %d/%d, recomputed %d/%d",
-					iter, i, any.Groups[i].Antecedent, any.Groups[i].SupPos, any.Groups[i].SupNeg, pos, neg)
+			if res.Partial {
+				t.Fatalf("iter %d workers=%d: exhausted run flagged partial", iter, workers)
+			}
+			if !res.HasGap || res.Gap != 0 {
+				t.Fatalf("iter %d workers=%d: exhausted gap %v (has=%v), want certified 0", iter, workers, res.Gap, res.HasGap)
+			}
+			if len(res.Groups) != len(want) {
+				t.Fatalf("iter %d workers=%d: %d groups vs oracle %d", iter, workers, len(res.Groups), len(want))
+			}
+			for i, g := range res.Groups {
+				w := want[i]
+				if g.Score != w.Score || g.SupPos != w.Group.SupPos || g.SupNeg != w.Group.SupNeg ||
+					!slices.Equal(g.Antecedent, w.Group.Antecedent) || !slices.Equal(g.Rows, w.Group.Rows) {
+					t.Fatalf("iter %d workers=%d rank %d: %+v, oracle %+v", iter, workers, i, g, w)
+				}
 			}
 		}
 	}

@@ -179,17 +179,17 @@ func TestMineParallelContextDeadline(t *testing.T) {
 	}
 }
 
-// MineTopKContext under a pre-cancelled context stops within one node.
+// TopK under a pre-cancelled context stops within one node.
 func TestMineTopKContextCancelled(t *testing.T) {
 	d := stressDataset(t)
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	groups, err := MineTopKContext(ctx, d, 0, 5, MeasureChi2, 2)
+	res, err := TopK(ctx, d, 0, TopKOptions{K: 5, MinSup: 2})
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}
-	if len(groups) != 0 {
-		t.Fatalf("pre-cancelled top-k returned %d groups", len(groups))
+	if res == nil || len(res.Groups) != 0 {
+		t.Fatal("pre-cancelled top-k should return its stats and no groups")
 	}
 }
 

@@ -10,7 +10,7 @@ import (
 // The FARMER miner must agree with the brute-force oracles on the shared
 // edge-case fixtures: full Mine ≡ MineParallel ≡ IRG-oracle equivalence
 // (with lower bounds), MineLowerBounds against the minimal-generator
-// oracle, and MineTopK against the rescan oracle. These are the datasets
+// oracle, and TopK against the rescan oracle. These are the datasets
 // random generation hits only rarely — empty, single-row, one-class,
 // duplicate rows, a universal column.
 func TestEdgeFixturesAgainstOracle(t *testing.T) {

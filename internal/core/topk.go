@@ -1,18 +1,21 @@
 package core
 
 import (
-	"container/heap"
 	"context"
 	"fmt"
-	"slices"
+	"math"
+	"runtime"
 	"sort"
+	"sync"
+	"sync/atomic"
+	"time"
 
 	"repro/internal/dataset"
 	"repro/internal/engine"
 	"repro/internal/stats"
 )
 
-// Measure selects the objective of MineTopK. All three are convex impurity
+// Measure selects the objective of TopK. All three are convex impurity
 // measures over the (x, y) margins, so the Lemma 3.9 vertex bound applies
 // (Morishita & Sese, PODS 2000 — the paper's reference [15]).
 type Measure int
@@ -83,8 +86,8 @@ type ScoredGroup struct {
 
 // TopKOptions configures TopK: the number of groups to keep, the objective
 // measure, and the minimum support. The zero value of the anytime fields
-// (Strategy, MaxMillis, MaxNodes, Delta, Seed, Workers) selects the exact
-// depth-first miner with unchanged, Counters-identical behavior.
+// (Strategy, MaxMillis, MaxNodes, Delta, Seed, Workers) selects the
+// exhaustive, exact best-first search on one worker.
 type TopKOptions struct {
 	// K is the number of best groups to return. Must be ≥ 1.
 	K int
@@ -98,9 +101,8 @@ type TopKOptions struct {
 	Prepared *dataset.Snapshot
 
 	// Strategy selects the search mode. StrategyExact (the zero value)
-	// is the exhaustive depth-first miner; setting a budget below while
-	// leaving the strategy exact upgrades it to StrategyBestFirst, since a
-	// budget only makes sense with a best-so-far ordering.
+	// and StrategyBestFirst are the same best-first search: exact when
+	// unbudgeted, best-so-far with a certified gap under a budget.
 	Strategy Strategy
 	// MaxMillis bounds the run's wall clock (setup included); 0 means
 	// unbudgeted. A budget-stopped run returns the best groups found with
@@ -115,23 +117,21 @@ type TopKOptions struct {
 	// Seed seeds StrategySample's random walks; equal seeds replay equal
 	// walk sequences.
 	Seed int64
-	// Workers is the number of concurrent frontier expanders for the
-	// anytime strategies (negative = GOMAXPROCS, 0/1 = sequential). The
-	// exact strategy ignores it. The exhausted best-first answer is
-	// identical for every worker count.
+	// Workers is the number of concurrent frontier expanders (negative =
+	// GOMAXPROCS, 0/1 = sequential); the sampler always runs on one. The
+	// exhausted answer is identical for every worker count.
 	Workers int
 }
 
 // TopKResult carries the ranked groups (best first) and the run's unified
-// statistics, plus — for the anytime strategies — the quality certificate.
+// statistics, plus the quality certificate.
 type TopKResult struct {
 	Groups []ScoredGroup
 
 	// Partial marks an answer not certified to equal the exact top-k: the
 	// budget stopped the search with work outstanding, a leap run pruned a
 	// subtree that could have mattered, or the sampler ran (it never
-	// certifies). An unset Partial on an anytime run is a proof of
-	// exactness.
+	// certifies). An unset Partial is a proof of exactness.
 	Partial bool
 	// Gap, when HasGap, bounds how far the answer can be from optimal:
 	// no unexplored group can score more than (k-th kept score + Gap).
@@ -153,71 +153,162 @@ func (r *TopKResult) Stats() engine.Stats { return r.stats }
 // Count returns the number of ranked groups kept.
 func (r *TopKResult) Count() int { return len(r.Groups) }
 
-// MineTopK returns the k rule groups with the given consequent that
-// maximize the measure, subject to a minimum support, by branch-and-bound
-// over the row enumeration tree: the convex vertex bound of each subtree is
-// compared against the current k-th best score, so the threshold tightens
-// as better groups are found. Groups are returned best-first; ties break
-// toward higher support, then lexicographic antecedents.
-func MineTopK(d *dataset.Dataset, consequent, k int, measure Measure, minsup int) ([]ScoredGroup, error) {
-	return MineTopKContext(context.Background(), d, consequent, k, measure, minsup)
-}
-
-// MineTopKContext is MineTopK under a context: cancellation is checked at
-// every node expansion. On cancellation it returns ctx.Err() together with
-// the best groups found so far — a valid answer for whatever portion of
-// the search space was explored, not necessarily the global top k.
-func MineTopKContext(ctx context.Context, d *dataset.Dataset, consequent, k int, measure Measure, minsup int) ([]ScoredGroup, error) {
-	res, err := TopK(ctx, d, consequent, TopKOptions{K: k, Measure: measure, MinSup: minsup})
-	if res == nil {
-		return nil, err
-	}
-	return res.Groups, err
-}
-
-// TopK is the canonical branch-and-bound entry point: MineTopKContext with
-// an options struct and a stats-carrying result.
+// TopK returns the k rule groups with the given consequent that maximize
+// the measure, subject to a minimum support, by branch-and-bound over the
+// row enumeration tree: frontier nodes are expanded in descending order of
+// their convex vertex bound (Lemma 3.9), and a subtree is cut once its
+// bound falls below the current k-th best score, so the threshold tightens
+// as better groups are found. Groups are returned best-first under the
+// canonical order: descending score, then descending support, then
+// lexicographic antecedent.
+//
+// Unbudgeted, the search is exhaustive and the answer is exact, identical
+// for every worker count. A budget (MaxMillis, MaxNodes) stops it within
+// one node expansion with the best groups found, Partial set and a
+// certified Gap — no error. On cancellation TopK returns ctx.Err()
+// together with the best groups found so far.
 func TopK(ctx context.Context, d *dataset.Dataset, consequent int, opt TopKOptions) (*TopKResult, error) {
-	k, measure, minsup := opt.K, opt.Measure, opt.MinSup
-	if k < 1 {
-		return nil, fmt.Errorf("core: k must be >= 1, got %d", k)
-	}
-	if minsup < 1 {
-		return nil, fmt.Errorf("core: minsup must be >= 1, got %d", minsup)
-	}
 	strat := opt.Strategy
-	if strat == StrategyExact && (opt.MaxMillis > 0 || opt.MaxNodes > 0) {
-		// A budget without a strategy means "the best answer you can find
-		// in time": best-first is the only ordering that makes the
-		// best-so-far heap valid at the stopping instant.
-		strat = StrategyBestFirst
+	switch {
+	case opt.K < 1:
+		return nil, fmt.Errorf("core: k must be >= 1, got %d", opt.K)
+	case opt.MinSup < 1:
+		return nil, fmt.Errorf("core: minsup must be >= 1, got %d", opt.MinSup)
+	case opt.Delta < 0:
+		return nil, fmt.Errorf("core: delta must be >= 0, got %g", opt.Delta)
+	case strat == StrategySample && opt.MaxMillis <= 0 && opt.MaxNodes <= 0:
+		return nil, fmt.Errorf("core: the sample strategy needs a max_millis or max_nodes budget")
 	}
-	if strat != StrategyExact {
-		return topKAnytime(ctx, d, consequent, opt, strat)
+	var deadline time.Time
+	if opt.MaxMillis > 0 {
+		// The deadline covers the whole run, setup included: max_millis is
+		// a promise to the caller, not to the search phase.
+		deadline = time.Now().Add(time.Duration(opt.MaxMillis) * time.Millisecond)
 	}
+
 	ex := engine.NewExec(ctx)
 	setupDone := engine.Phase(&ex.Stats.Timings.Setup)
 	ordered, ord, tt, err := resolveView(d, consequent, opt.Prepared, ex)
 	if err != nil {
 		return nil, err
 	}
-	m := newMiner(ordered, ord.NumPositive, Options{MinSup: minsup}, ex, tt)
+	if tt == nil {
+		tt = dataset.Transpose(ordered)
+	}
 	setupDone()
-	tk := &topkSearch{miner: m, k: k, measure: measure}
-	searchDone := engine.Phase(&ex.Stats.Timings.Search)
-	err = tk.run()
-	searchDone()
-	ex.Stats.ArenaBytes = m.sc.Bytes()
 
-	out := make([]ScoredGroup, len(tk.best))
-	for i := range tk.best {
-		e := tk.best[i]
+	workers := opt.Workers
+	if workers < 0 {
+		workers = runtime.GOMAXPROCS(0)
+	}
+	if workers < 1 {
+		workers = 1
+	}
+	if strat == StrategySample {
+		workers = 1 // the walk sequence is the reproducibility contract
+	}
+
+	s := &anytimeSearch{
+		k:         opt.K,
+		minsup:    opt.MinSup,
+		n:         len(ordered.Rows),
+		numPos:    ord.NumPositive,
+		measure:   opt.Measure,
+		inFlight:  make([]float64, workers),
+		maxPruned: math.Inf(-1),
+	}
+	s.fillTables()
+	if strat == StrategyLeap {
+		s.delta = opt.Delta
+	}
+	if strat == StrategySample {
+		s.dedup = make(map[string]struct{})
+	}
+	s.cond = sync.NewCond(&s.mu)
+	for i := range s.inFlight {
+		s.inFlight[i] = math.Inf(-1)
+	}
+
+	miners := make([]*miner, workers)
+	for w := 0; w < workers; w++ {
+		exw := engine.NewExec(ctx)
+		var shared *atomic.Int64
+		if workers > 1 && opt.MaxNodes > 0 {
+			shared = &s.sharedNodes
+		}
+		exw.SetBudget(deadline, opt.MaxNodes, shared)
+		miners[w] = newMiner(ordered, ord.NumPositive, Options{MinSup: opt.MinSup}, exw, tt)
+	}
+
+	searchDone := engine.Phase(&ex.Stats.Timings.Search)
+	if s.n > 0 && s.numPos > 0 {
+		if strat == StrategySample {
+			s.sample(miners[0], opt.Seed)
+		} else {
+			s.seedRoots(miners[0])
+			if workers == 1 {
+				s.worker(0, miners[0])
+			} else {
+				var wg sync.WaitGroup
+				for w := 0; w < workers; w++ {
+					wg.Add(1)
+					go func(w int) {
+						defer wg.Done()
+						s.worker(w, miners[w])
+					}(w)
+				}
+				wg.Wait()
+			}
+		}
+	}
+	searchDone()
+
+	var nodes int64
+	for _, m := range miners {
+		ex.Stats.Counters.Add(m.ex.Stats.Counters)
+		ex.Stats.ArenaBytes += m.sc.Bytes()
+		nodes += m.ex.Stats.NodesVisited
+	}
+
+	res := &TopKResult{NodesExpanded: nodes}
+	res.Groups = materializeTopK(s.best, ord, s.n, s.numPos)
+
+	if strat == StrategySample {
+		// A sampler's answer carries no certificate: it is partial unless
+		// it provably enumerated nothing… which it cannot prove.
+		res.Partial = true
+	} else {
+		maxOut, any := s.outstandingLocked()
+		kth := 0.0
+		full := len(s.best) == s.k
+		if full {
+			kth = s.best[0].score
+		}
+		res.HasGap = true
+		if any && (maxOut > kth || !full) {
+			res.Partial = true
+			if gap := maxOut - kth; gap > 0 {
+				res.Gap = gap
+			}
+		}
+	}
+	res.stats = ex.Stats
+	return res, s.stopErr
+}
+
+// materializeTopK converts the kept heap into the public ranking: best
+// first under the canonical order, row ids mapped back to the caller's
+// original order.
+func materializeTopK(best canonHeap, ord *dataset.Ordering, n, numPos int) []ScoredGroup {
+	out := make([]ScoredGroup, len(best))
+	for i := range best {
+		e := &best[i]
 		g := ScoredGroup{Score: e.score}
 		g.Antecedent = e.items
 		g.SupPos = e.supPos
 		g.SupNeg = e.tot - e.supPos
 		g.Confidence = float64(e.supPos) / float64(e.tot)
-		g.Chi = stats.Chi2(e.tot, e.supPos, m.n, m.numPos)
+		g.Chi = stats.Chi2(e.tot, e.supPos, n, numPos)
 		g.Rows = ord.MapRowsToOriginal(e.rows.Ints())
 		sort.Ints(g.Rows)
 		out[i] = g
@@ -231,115 +322,5 @@ func TopK(ctx context.Context, d *dataset.Dataset, consequent int, opt TopKOptio
 		}
 		return lessItems(out[a].Antecedent, out[b].Antecedent)
 	})
-	return &TopKResult{Groups: out, stats: m.ex.Stats}, err
-}
-
-type scoredEntry struct {
-	irgEntry
-	score float64
-}
-
-// topkHeap is a min-heap on score so the weakest kept group is evictable.
-type topkHeap []scoredEntry
-
-func (h topkHeap) Len() int           { return len(h) }
-func (h topkHeap) Less(i, j int) bool { return h[i].score < h[j].score }
-func (h topkHeap) Swap(i, j int)      { h[i], h[j] = h[j], h[i] }
-func (h *topkHeap) Push(x any)        { *h = append(*h, x.(scoredEntry)) }
-func (h *topkHeap) Pop() any          { old := *h; x := old[len(old)-1]; *h = old[:len(old)-1]; return x }
-func (h topkHeap) threshold() float64 { return h[0].score }
-
-type topkSearch struct {
-	miner   *miner
-	k       int
-	measure Measure
-	best    topkHeap
-}
-
-func (t *topkSearch) run() error {
-	m := t.miner
-	if m.n == 0 || m.numPos == 0 {
-		return nil
-	}
-	for ri := 0; ri < m.n; ri++ {
-		supp, supn, epCount := m.rootCounts(ri)
-		m.sc.InX.Set(ri)
-		err := t.walk(m.ds.Rows[ri].Items, supp, supn, epCount, ri)
-		m.sc.InX.Clear(ri)
-		if err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// walk mirrors mineNode's traversal with the branch-and-bound cut: instead
-// of fixed thresholds, subtrees are pruned when the measure's vertex bound
-// cannot beat the current k-th best score.
-func (t *topkSearch) walk(items []dataset.Item, supp, supn, epCount, rmax int) error {
-	m := t.miner
-	if err := m.ex.EnterNode(); err != nil {
-		return err
-	}
-	if len(items) == 0 || m.backScanHit(items, rmax) || supp+epCount < m.opt.MinSup {
-		return nil
-	}
-
-	// Everything from here on allocates on the arena and pops on unwind.
-	mark := m.sc.A.Mark()
-	defer m.sc.A.Release(mark)
-
-	sc := m.scanNode(items, rmax, supp, supn, true)
-	supp, supn = sc.supp, sc.supn
-
-	// Bound cuts: support, then the dynamic measure bound.
-	if sc.suppIn+sc.maxPos < m.opt.MinSup {
-		return nil
-	}
-	if len(t.best) == t.k {
-		if t.measure.bound(supp+supn, supp, m.n, m.numPos) <= t.best.threshold() {
-			m.ex.Stats.PrunedGainBound++
-			return nil
-		}
-	}
-
-	for _, r := range sc.yRows {
-		m.sc.InX.Set(int(r))
-	}
-	if len(sc.eRows) > 0 {
-		tables, offs := m.childTables(items, sc.eRows)
-		posBoundary := searchRow(sc.eRows, int32(m.numPos))
-		for p, r := range sc.eRows {
-			ca, cb, ep := m.childCounts(supp, supn, r, p, posBoundary)
-			m.sc.InX.Set(int(r))
-			err := t.walk(tables[offs[p]:offs[p+1]], ca, cb, ep, int(r))
-			m.sc.InX.Clear(int(r))
-			if err != nil {
-				return err
-			}
-		}
-	}
-
-	// Emit into the heap. After cancellation the unwind path skips
-	// emission, mirroring maybeEmit's contract.
-	if supp >= m.opt.MinSup && m.ex.Err() == nil {
-		score := t.measure.value(supp+supn, supp, m.n, m.numPos)
-		if len(t.best) < t.k || score > t.best.threshold() {
-			entry := scoredEntry{score: score}
-			entry.rows = m.sc.InX.Clone()
-			entry.supPos = supp
-			entry.tot = supp + supn
-			entry.items = slices.Clone(items)
-			heap.Push(&t.best, entry)
-			if len(t.best) > t.k {
-				heap.Pop(&t.best)
-			}
-			m.ex.Stats.GroupsEmitted++
-		}
-	}
-
-	for _, r := range sc.yRows {
-		m.sc.InX.Clear(int(r))
-	}
-	return nil
+	return out
 }

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"math/rand"
 	"sort"
 	"testing"
@@ -29,15 +30,24 @@ func topKOracleScores(d *dataset.Dataset, consequent, k int, measure Measure, mi
 	return scores
 }
 
+// topKGroups runs an unbudgeted TopK and returns its ranked groups.
+func topKGroups(d *dataset.Dataset, consequent, k int, measure Measure, minsup int) ([]ScoredGroup, error) {
+	res, err := TopK(context.Background(), d, consequent, TopKOptions{K: k, Measure: measure, MinSup: minsup})
+	if res == nil {
+		return nil, err
+	}
+	return res.Groups, err
+}
+
 func TestMineTopKValidation(t *testing.T) {
 	d := dataset.PaperExample()
-	if _, err := MineTopK(d, 0, 0, MeasureChi2, 1); err == nil {
+	if _, err := topKGroups(d, 0, 0, MeasureChi2, 1); err == nil {
 		t.Fatal("k=0 accepted")
 	}
-	if _, err := MineTopK(d, 0, 1, MeasureChi2, 0); err == nil {
+	if _, err := topKGroups(d, 0, 1, MeasureChi2, 0); err == nil {
 		t.Fatal("minsup=0 accepted")
 	}
-	if _, err := MineTopK(d, 7, 1, MeasureChi2, 1); err == nil {
+	if _, err := topKGroups(d, 7, 1, MeasureChi2, 1); err == nil {
 		t.Fatal("bad consequent accepted")
 	}
 }
@@ -45,7 +55,7 @@ func TestMineTopKValidation(t *testing.T) {
 func TestMineTopKPaperExample(t *testing.T) {
 	d := dataset.PaperExample()
 	for _, measure := range []Measure{MeasureChi2, MeasureEntropyGain, MeasureGiniGain} {
-		got, err := MineTopK(d, 0, 3, measure, 1)
+		got, err := topKGroups(d, 0, 3, measure, 1)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -69,7 +79,7 @@ func TestMineTopKPaperExample(t *testing.T) {
 
 func TestMineTopKScoresConsistent(t *testing.T) {
 	d := dataset.PaperExample()
-	got, err := MineTopK(d, 0, 5, MeasureChi2, 1)
+	got, err := topKGroups(d, 0, 5, MeasureChi2, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -97,7 +107,7 @@ func TestPropertyTopKAgainstOracle(t *testing.T) {
 		k := 1 + rng.Intn(4)
 		minsup := 1 + rng.Intn(2)
 		measure := []Measure{MeasureChi2, MeasureEntropyGain, MeasureGiniGain}[rng.Intn(3)]
-		got, err := MineTopK(d, consequent, k, measure, minsup)
+		got, err := topKGroups(d, consequent, k, measure, minsup)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -134,7 +144,7 @@ func TestTopKBoundPrunes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := MineTopK(d, 0, 1, MeasureChi2, 1)
+	got, err := topKGroups(d, 0, 1, MeasureChi2, 1)
 	if err != nil {
 		t.Fatal(err)
 	}

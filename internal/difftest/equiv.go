@@ -24,6 +24,7 @@ package difftest
 import (
 	"context"
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 
@@ -371,25 +372,39 @@ var topKMeasures = []struct {
 	{"gini", core.MeasureGiniGain, stats.GiniGain},
 }
 
-// CheckTopK asserts that core.MineTopK returns the oracle's top-k scores
-// for every measure. Group identity is compared only where the score is
-// strictly above the k-th best (ties at the threshold may legitimately keep
-// different representatives).
+// CheckTopK asserts that core.TopK returns exactly the oracle's top k for
+// every measure: at every rank the same score, antecedent, supports and
+// rows. Both rank under one total order — score, then support, then
+// lexicographic antecedent — so a tie at the k-th score leaves no choice
+// of representative.
 func CheckTopK(c Case, k int) error {
 	for _, m := range topKMeasures {
-		got, err := core.MineTopK(c.D, c.Consequent, k, m.Measure, c.Opt.MinSup)
+		res, err := core.TopK(context.Background(), c.D, c.Consequent, core.TopKOptions{
+			K: k, Measure: m.Measure, MinSup: c.Opt.MinSup,
+		})
 		if err != nil {
-			return fmt.Errorf("MineTopK(%s): %w", m.Name, err)
+			return fmt.Errorf("TopK(%s): %w", m.Name, err)
 		}
 		want := reference.TopK(c.D, c.Consequent, k, m.Fn, c.Opt.MinSup)
-		if len(got) != len(want) {
-			return fmt.Errorf("MineTopK(%s): %d groups, oracle %d", m.Name, len(got), len(want))
+		if err := diffTopK("TopK("+m.Name+")", res.Groups, want); err != nil {
+			return err
 		}
-		for i := range got {
-			if got[i].Score != want[i].Score {
-				return fmt.Errorf("MineTopK(%s) rank %d: score %v, oracle %v",
-					m.Name, i, got[i].Score, want[i].Score)
-			}
+	}
+	return nil
+}
+
+// diffTopK compares a ranked top-k answer with the oracle's, rank by rank.
+func diffTopK(label string, got []core.ScoredGroup, want []reference.Scored) error {
+	if len(got) != len(want) {
+		return fmt.Errorf("%s: %d groups, oracle %d", label, len(got), len(want))
+	}
+	for i := range got {
+		g, w := &got[i], &want[i]
+		if g.Score != w.Score || g.SupPos != w.Group.SupPos || g.SupNeg != w.Group.SupNeg ||
+			!slices.Equal(g.Antecedent, w.Group.Antecedent) || !slices.Equal(g.Rows, w.Group.Rows) {
+			return fmt.Errorf("%s rank %d: %v rows %v sup %d/%d score %v, oracle %v rows %v sup %d/%d score %v",
+				label, i, g.Antecedent, g.Rows, g.SupPos, g.SupNeg, g.Score,
+				w.Group.Antecedent, w.Group.Rows, w.Group.SupPos, w.Group.SupNeg, w.Score)
 		}
 	}
 	return nil

@@ -3,70 +3,40 @@ package difftest
 import (
 	"context"
 	"fmt"
-	"reflect"
 	"time"
 
 	"repro/internal/core"
 	"repro/internal/dataset"
+	"repro/internal/reference"
 )
 
 // CheckAnytimeDeterminism asserts the top-k tie-break contract of the
-// anytime tier on one case, for every measure:
-//
-//   - the best-first kept set — including which representative wins an
-//     equal-score tie — is identical across worker counts (admission under
-//     the canonical total order makes the answer schedule-independent);
-//   - exhausted best-first and δ=0 leap agree with the exact walk on the
-//     per-rank scores (representatives may differ where scores tie: the
-//     exact walk keeps the first arrival, the heap the canonically best —
-//     both are valid top-k answers, the latitude CheckTopK documents);
-//   - neither exhausted run is flagged partial, and both certify a zero
-//     gap.
+// best-first search on one case, for every measure: exhausted runs of the
+// default strategy and of δ=0 leap, on 1, 2 and 4 workers, are never
+// flagged partial, certify a zero gap, and keep exactly the oracle's
+// groups — representatives included, since admission under the canonical
+// total order makes the answer independent of the expansion schedule.
 func CheckAnytimeDeterminism(c Case, k int) error {
 	for _, m := range topKMeasures {
-		exact, err := core.TopK(context.Background(), c.D, c.Consequent, core.TopKOptions{
-			K: k, Measure: m.Measure, MinSup: c.Opt.MinSup,
-		})
-		if err != nil {
-			return fmt.Errorf("TopK(%s, exact): %w", m.Name, err)
-		}
-		var ref *core.TopKResult
-		for _, strat := range []core.Strategy{core.StrategyBestFirst, core.StrategyLeap} {
+		want := reference.TopK(c.D, c.Consequent, k, m.Fn, c.Opt.MinSup)
+		for _, strat := range []core.Strategy{core.StrategyExact, core.StrategyLeap} {
 			for _, workers := range []int{1, 2, 4} {
+				label := fmt.Sprintf("TopK(%s, %v, workers=%d)", m.Name, strat, workers)
 				res, err := core.TopK(context.Background(), c.D, c.Consequent, core.TopKOptions{
 					K: k, Measure: m.Measure, MinSup: c.Opt.MinSup,
 					Strategy: strat, Workers: workers,
 				})
 				if err != nil {
-					return fmt.Errorf("TopK(%s, %v, workers=%d): %w", m.Name, strat, workers, err)
+					return fmt.Errorf("%s: %w", label, err)
 				}
 				if res.Partial {
-					return fmt.Errorf("TopK(%s, %v, workers=%d): exhausted run flagged partial", m.Name, strat, workers)
+					return fmt.Errorf("%s: exhausted run flagged partial", label)
 				}
 				if !res.HasGap || res.Gap != 0 {
-					return fmt.Errorf("TopK(%s, %v, workers=%d): exhausted run gap %v (has=%v), want certified 0",
-						m.Name, strat, workers, res.Gap, res.HasGap)
+					return fmt.Errorf("%s: exhausted run gap %v (has=%v), want certified 0", label, res.Gap, res.HasGap)
 				}
-				if len(res.Groups) != len(exact.Groups) {
-					return fmt.Errorf("TopK(%s, %v, workers=%d): %d groups, exact %d",
-						m.Name, strat, workers, len(res.Groups), len(exact.Groups))
-				}
-				for i := range res.Groups {
-					if res.Groups[i].Score != exact.Groups[i].Score {
-						return fmt.Errorf("TopK(%s, %v, workers=%d) rank %d: score %v, exact %v",
-							m.Name, strat, workers, i, res.Groups[i].Score, exact.Groups[i].Score)
-					}
-				}
-				if ref == nil {
-					ref = res
-					continue
-				}
-				// Representatives included: every anytime run keeps the same
-				// groups regardless of strategy relaxation (δ=0 never prunes
-				// beyond best-first) or scheduling.
-				if !reflect.DeepEqual(res.Groups, ref.Groups) {
-					return fmt.Errorf("TopK(%s, %v, workers=%d): kept set differs from the first anytime run:\n %+v\nvs\n %+v",
-						m.Name, strat, workers, res.Groups, ref.Groups)
+				if err := diffTopK(label, res.Groups, want); err != nil {
+					return err
 				}
 			}
 		}

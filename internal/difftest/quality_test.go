@@ -64,10 +64,9 @@ func TestQualityHarnessNodeBudget(t *testing.T) {
 			t.Fatalf("row %+v: full recall with nonzero regret", r)
 		}
 	}
-	// Best-first given the exact miner's full node count must get most of
-	// the answer: it spends nodes in bound order, so a same-size budget
-	// keeps at least as much of the top-k as the exact walk had found by
-	// its own end (empirically all of it; gate loosely to stay robust).
+	// Best-first given the exact run's full node count must get most of
+	// the answer: the exact run is the same search, so a same-size budget
+	// replays it (empirically all of it; gate loosely to stay robust).
 	best := MeanRecall(rows, func(r QualityRow) bool {
 		return r.Strategy == "best_first" && r.BudgetFrac == 1.0
 	})

@@ -4,12 +4,15 @@ import (
 	"context"
 	"fmt"
 	"math/rand"
+	"slices"
 	"sort"
 	"testing"
 
 	"repro/internal/columne"
 	"repro/internal/core"
 	"repro/internal/dataset"
+	"repro/internal/reference"
+	"repro/internal/stats"
 )
 
 // wideCase draws a dataset of 60–200 rows over at most 10 items: row ids
@@ -41,11 +44,58 @@ func wideCase(rng *rand.Rand) (*dataset.Dataset, core.Options) {
 	return d, opt
 }
 
+// wideTopK is the top-k oracle for datasets with few items: every rule
+// group is the closure of some item subset, so it enumerates the item
+// subsets where reference.TopK enumerates row subsets, and ranks like it.
+func wideTopK(d *dataset.Dataset, k int, measure func(x, y, n, m int) float64, minsup int) []reference.Scored {
+	n, m := len(d.Rows), d.ClassCount(0)
+	seen := map[string]bool{}
+	var scored []reference.Scored
+	for mask := 1; mask < 1<<d.NumItems; mask++ {
+		var a []dataset.Item
+		for it := 0; it < d.NumItems; it++ {
+			if mask&(1<<it) != 0 {
+				a = append(a, dataset.Item(it))
+			}
+		}
+		rows := dataset.SupportSet(d, a).Ints()
+		if len(rows) == 0 {
+			continue
+		}
+		closure := dataset.CommonItems(d, rows)
+		key := fmt.Sprint(closure)
+		if seen[key] {
+			continue
+		}
+		seen[key] = true
+		g := reference.RuleGroup{Antecedent: closure, Rows: rows}
+		g.SupPos, g.SupNeg = dataset.SupportCounts(d, closure, 0)
+		if g.SupPos < minsup {
+			continue
+		}
+		scored = append(scored, reference.Scored{Group: g, Score: measure(g.SupPos+g.SupNeg, g.SupPos, n, m)})
+	}
+	sort.Slice(scored, func(i, j int) bool {
+		if scored[i].Score != scored[j].Score {
+			return scored[i].Score > scored[j].Score
+		}
+		if scored[i].Group.SupPos != scored[j].Group.SupPos {
+			return scored[i].Group.SupPos > scored[j].Group.SupPos
+		}
+		return slices.Compare(scored[i].Group.Antecedent, scored[j].Group.Antecedent) < 0
+	})
+	if len(scored) > k {
+		scored = scored[:k]
+	}
+	return scored
+}
+
 // TestWideRowsMatchColumnE checks FARMER's word-parallel row enumeration
 // on datasets wider than one row word against ColumnE, which finds the
 // same interesting rule groups by enumerating items instead of rows; the
 // parallel scheduler must reproduce Mine's groups and Counters, and
-// exhausted best-first top-k must return the exact top-k scores.
+// exhausted top-k on one and two workers must return exactly the item
+// oracle's top k.
 func TestWideRowsMatchColumnE(t *testing.T) {
 	rng := rand.New(rand.NewSource(64))
 	groups := 0
@@ -84,23 +134,18 @@ func TestWideRowsMatchColumnE(t *testing.T) {
 		}
 
 		topk := core.TopKOptions{K: 1 + rng.Intn(8), MinSup: opt.MinSup}
-		exact, err := core.TopK(context.Background(), d, 0, topk)
-		if err != nil {
-			t.Fatalf("%s: top-k: %v", label, err)
-		}
-		topk.Strategy = core.StrategyBestFirst
-		bf, err := core.TopK(context.Background(), d, 0, topk)
-		if err != nil {
-			t.Fatalf("%s: best-first: %v", label, err)
-		}
-		if bf.Partial || len(bf.Groups) != len(exact.Groups) {
-			t.Fatalf("%s: best-first kept %d groups (partial %v), exact %d", label, len(bf.Groups), bf.Partial, len(exact.Groups))
-		}
-		// Groups tied at the k-th score may differ between the two
-		// admission orders; the ranked scores may not.
-		for i := range exact.Groups {
-			if e, b := exact.Groups[i].Score, bf.Groups[i].Score; e != b {
-				t.Fatalf("%s: top-k rank %d: exact score %v, best-first %v", label, i, e, b)
+		oracle := wideTopK(d, topk.K, stats.Chi2, opt.MinSup)
+		for _, workers := range []int{1, 2} {
+			topk.Workers = workers
+			res, err := core.TopK(context.Background(), d, 0, topk)
+			if err != nil {
+				t.Fatalf("%s: top-k workers=%d: %v", label, workers, err)
+			}
+			if res.Partial {
+				t.Fatalf("%s: exhausted top-k workers=%d flagged partial", label, workers)
+			}
+			if err := diffTopK(fmt.Sprintf("%s: top-k workers=%d", label, workers), res.Groups, oracle); err != nil {
+				t.Fatal(err)
 			}
 		}
 	}

@@ -1,5 +1,5 @@
 // Package engine is the shared mining runtime behind every miner in the
-// repository: FARMER's row enumerators (Mine, MineParallel, MineTopK,
+// repository: FARMER's row enumerators (Mine, MineParallel, TopK,
 // MineLB) and the five baselines (CHARM, CLOSET, ColumnE, CARPENTER,
 // COBBLER). It factors out the three pieces the miners used to hand-roll
 // independently:

@@ -38,10 +38,10 @@ type Scored struct {
 	Score float64
 }
 
-// TopK is the brute-force oracle for core.MineTopK: it scores EVERY rule
+// TopK is the brute-force oracle for core.TopK: it scores EVERY rule
 // group with support ≥ minsup using the measure (the same (x, y, n, m)
 // contingency signature as internal/stats) and returns the k best, ordered
-// like MineTopK: descending score, then descending rule support, then
+// like core.TopK: descending score, then descending rule support, then
 // lexicographic antecedent.
 func TopK(d *dataset.Dataset, consequent, k int, measure func(x, y, n, m int) float64, minsup int) []Scored {
 	n := len(d.Rows)

@@ -83,8 +83,8 @@ func etagFor(key reqKey) string {
 }
 
 // canonicalSpec normalizes the fields buildRunner would normalize anyway
-// (MinSup and K floors, the default measure name), so equivalent requests
-// share one key.
+// (MinSup and K floors, the default measure and strategy names), so
+// equivalent requests share one key.
 func canonicalSpec(spec JobSpec) JobSpec {
 	if spec.MinSup < 1 {
 		spec.MinSup = 1
@@ -96,9 +96,10 @@ func canonicalSpec(spec JobSpec) JobSpec {
 		if spec.Measure == "" {
 			spec.Measure = "chi2"
 		}
-		// "exact" is the parse default of the empty string; fold the two
-		// spellings into one key so they coalesce.
-		if spec.Quality == "exact" {
+		// "exact" is the parse default of the empty string, and unbudgeted
+		// "best_first" is the same exhaustive run; fold the three spellings
+		// into one key so they coalesce and share one cache entry.
+		if spec.Quality == "exact" || (spec.Quality == "best_first" && !spec.Budgeted()) {
 			spec.Quality = ""
 		}
 	}

@@ -162,6 +162,42 @@ func TestQueryETagStableAcrossHitsRotatesOnPut(t *testing.T) {
 	}
 }
 
+// Unbudgeted top-k under the default, "exact" and "best_first" spellings
+// is one run: the three share one cache entry and one ETag.
+func TestQueryTopKStrategySpellingsShareCacheEntry(t *testing.T) {
+	ts, _ := service(t, 2, 8)
+	put(t, ts.URL+"/v1/datasets/paper", paperExample)
+	spec := serve.JobSpec{Miner: "topk", Dataset: "paper", K: 3}
+
+	cold, coldBody := query(t, ts.URL, spec, nil)
+	if cold.StatusCode != http.StatusOK || cold.Header.Get("X-Cache") != "MISS" {
+		t.Fatalf("cold query: status %d, X-Cache %q", cold.StatusCode, cold.Header.Get("X-Cache"))
+	}
+	warm, _ := query(t, ts.URL, spec, nil)
+	etag := warm.Header.Get("ETag")
+	if etag == "" {
+		t.Fatal("warm replay carries no ETag")
+	}
+	for _, quality := range []string{"exact", "best_first"} {
+		spelled := spec
+		spelled.Quality = quality
+		resp, body := query(t, ts.URL, spelled, nil)
+		if got := resp.Header.Get("X-Cache"); got != "HIT" {
+			t.Fatalf("quality %q: X-Cache %q, want a HIT on the default spelling's entry", quality, got)
+		}
+		if got := resp.Header.Get("ETag"); got != etag {
+			t.Fatalf("quality %q: ETag %q, want %q", quality, got, etag)
+		}
+		if !bytes.Equal(body, coldBody) {
+			t.Fatalf("quality %q: body differs from the cold run:\n got %q\nwant %q", quality, body, coldBody)
+		}
+		resp, _ = query(t, ts.URL, spelled, map[string]string{"If-None-Match": etag})
+		if resp.StatusCode != http.StatusNotModified {
+			t.Fatalf("quality %q with the default spelling's ETag: status %d, want 304", quality, resp.StatusCode)
+		}
+	}
+}
+
 func TestQueryConditionalRequests(t *testing.T) {
 	ts, _ := service(t, 2, 8)
 	put(t, ts.URL+"/v1/datasets/paper", paperExample)
@@ -270,9 +306,9 @@ type nullResponseWriter struct {
 	h http.Header
 }
 
-func (w *nullResponseWriter) Header() http.Header        { return w.h }
+func (w *nullResponseWriter) Header() http.Header         { return w.h }
 func (w *nullResponseWriter) Write(b []byte) (int, error) { return len(b), nil }
-func (w *nullResponseWriter) WriteHeader(int)            {}
+func (w *nullResponseWriter) WriteHeader(int)             {}
 
 // TestQueryWarmHandlerAllocs bounds the warm handler's allocations,
 // measured through the full middleware + mux + handler stack with the

@@ -34,8 +34,8 @@ type QuerySpec struct {
 	Measure string `json:"measure,omitempty"`
 
 	// Workers selects the FARMER parallel scheduler (negative =
-	// GOMAXPROCS); 0 runs sequentially with live streaming. For budgeted
-	// "topk" jobs it sizes the anytime worker pool the same way.
+	// GOMAXPROCS); 0 runs sequentially with live streaming. For "topk"
+	// jobs it sizes the best-first worker pool the same way.
 	Workers int `json:"workers,omitempty"`
 
 	// TimeoutMS bounds the job's run time; 0 means no deadline. Unlike
@@ -52,9 +52,9 @@ type QuerySpec struct {
 	// are never cached. Zero means unlimited.
 	MaxMillis int64 `json:"max_millis,omitempty"`
 	MaxNodes  int64 `json:"max_nodes,omitempty"`
-	// Quality selects the "topk" search strategy: "" or "exact" (default;
-	// a budget upgrades it to best-first), "best_first", "leap", or
-	// "sample". Delta is the leap relaxation factor (quality "leap"
+	// Quality selects the "topk" search strategy: "" (default), "exact"
+	// or "best_first" — three names of one best-first search, exact when
+	// unbudgeted — "leap", or "sample". Delta is the leap relaxation factor (quality "leap"
 	// prunes subtrees that cannot improve the k-th score by more than a
 	// 1+delta factor, certifying the relaxation in the reported gap).
 	Quality string  `json:"quality,omitempty"`

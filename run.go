@@ -41,25 +41,25 @@ type (
 	// TopKOptions configures RunTopK (K, Measure, MinSup), plus the
 	// anytime knobs: Strategy, MaxMillis/MaxNodes budgets, Delta for the
 	// leap pruner, Seed for the sampler, and Workers for parallel
-	// best-first search.
+	// frontier expansion.
 	TopKOptions = core.TopKOptions
 	// TopKResult is RunTopK's outcome: the ranked groups, best first, plus
 	// search statistics. Budgeted runs mark Partial and certify Gap.
 	TopKResult = core.TopKResult
-	// Strategy selects RunTopK's search strategy: exact depth-first
-	// (default), anytime best-first, relaxed leap pruning, or random-walk
-	// sampling.
+	// Strategy selects RunTopK's search strategy: best-first (the
+	// default, exact when unbudgeted), relaxed leap pruning, or
+	// random-walk sampling.
 	Strategy = core.Strategy
 )
 
 // The top-k search strategies.
 const (
-	// StrategyExact is the exhaustive depth-first branch-and-bound walk —
-	// the zero value, so existing callers are unaffected.
+	// StrategyExact is the zero value: the best-first search below under
+	// its default name.
 	StrategyExact = core.StrategyExact
 	// StrategyBestFirst expands nodes in descending bound order, keeping
 	// a valid top-k at every instant; budget stops certify an optimality
-	// gap. Exhausted, it matches StrategyExact.
+	// gap. Unbudgeted, it is exhaustive and exact.
 	StrategyBestFirst = core.StrategyBestFirst
 	// StrategyLeap prunes subtrees whose bound cannot improve the k-th
 	// score by more than a (1+Delta) factor, certifying the relaxation as
@@ -128,12 +128,14 @@ func RunFARMER(ctx context.Context, d *Dataset, consequent int, opt MineOptions)
 // not just the interesting ones. On cancellation it returns the best
 // groups found so far together with ctx.Err().
 //
-// Setting opt.MaxMillis or opt.MaxNodes turns the search into an anytime
-// run: it stops within one node expansion of the budget and returns the
-// best-so-far answer with Partial set and a certified optimality Gap — no
-// error, since a budget stop is the anytime contract working as intended.
-// opt.Strategy picks the search order explicitly; a budget with the
-// default exact strategy upgrades to StrategyBestFirst automatically.
+// The search expands nodes in descending bound order on opt.Workers
+// frontier expanders; unbudgeted, the answer is exact and the same for
+// every worker count. Setting opt.MaxMillis or opt.MaxNodes makes it an
+// anytime run: it stops within one node expansion of the budget and
+// returns the best-so-far answer with Partial set and a certified
+// optimality Gap — no error, since a budget stop is the anytime contract
+// working as intended. opt.Strategy selects the relaxed leap pruner or the
+// sampler instead.
 func RunTopK(ctx context.Context, d *Dataset, consequent int, opt TopKOptions) (*TopKResult, error) {
 	return core.TopK(ctx, d, consequent, opt)
 }
